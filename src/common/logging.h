@@ -1,6 +1,7 @@
 #ifndef JUGGLER_COMMON_LOGGING_H_
 #define JUGGLER_COMMON_LOGGING_H_
 
+#include <atomic>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -12,12 +13,17 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 /// \brief Minimal leveled logger.
 ///
 /// The library is mostly silent by default (kWarning); tools and examples can
-/// lower the threshold. A global threshold is enough here: the simulator is
-/// single-threaded per run and the benches are batch programs.
+/// lower the threshold. One global threshold, atomic because serving threads
+/// log while a tool may change it. Relaxed ordering: a log line needs only
+/// some recent threshold, not ordering with other memory.
 class Logger {
  public:
-  static LogLevel threshold() { return threshold_; }
-  static void set_threshold(LogLevel level) { threshold_ = level; }
+  static LogLevel threshold() {
+    return threshold_.load(std::memory_order_relaxed);
+  }
+  static void set_threshold(LogLevel level) {
+    threshold_.store(level, std::memory_order_relaxed);
+  }
 
   /// One log statement; flushes on destruction.
   class Line {
@@ -27,7 +33,7 @@ class Logger {
               << "] ";
     }
     ~Line() {
-      if (level_ >= threshold_) {
+      if (level_ >= threshold()) {
         stream_ << '\n';
         // fputs, not std::cerr: keeps <iostream> (and its per-TU static
         // initializer) out of this widely-included header, and a single
@@ -69,7 +75,7 @@ class Logger {
   };
 
  private:
-  static inline LogLevel threshold_ = LogLevel::kWarning;
+  static inline std::atomic<LogLevel> threshold_{LogLevel::kWarning};
 };
 
 }  // namespace juggler

@@ -22,6 +22,8 @@ const char* CodeName(StatusCode code) {
       return "INTERNAL";
     case StatusCode::kAborted:
       return "ABORTED";
+    case StatusCode::kUnavailable:
+      return "UNAVAILABLE";
   }
   return "UNKNOWN";
 }

@@ -25,6 +25,9 @@ enum class StatusCode {
   /// kInternal so callers can tell "the run was aborted by injected faults"
   /// from "the library is broken".
   kAborted,
+  /// Transiently unable to answer; the same call may succeed later (e.g. a
+  /// model artifact changed on disk and awaits the next registry refresh).
+  kUnavailable,
 };
 
 /// \brief A cheap, copyable success-or-error result.
@@ -63,6 +66,9 @@ class [[nodiscard]] Status {
   }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }

@@ -1,9 +1,8 @@
 #include "minispark/engine.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstddef>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/random.h"
@@ -71,6 +70,52 @@ struct Piece {
   bool from_cache = false;
 };
 
+/// One bit per (dataset, partition index). The width is the widest
+/// dataset's partition count: a narrow chain passes its task index down to
+/// every parent, so no partition index a run sees exceeds it.
+class PartitionBitmap {
+ public:
+  PartitionBitmap(int datasets, int width)
+      : words_per_row_((static_cast<size_t>(width) + 63) / 64),
+        words_(static_cast<size_t>(datasets) * words_per_row_, 0) {}
+
+  bool Contains(DatasetId d, int partition) const {
+    return (words_[Word(d, partition)] & Bit(partition)) != 0;
+  }
+  /// Returns true if the bit was clear.
+  bool Insert(DatasetId d, int partition) {
+    uint64_t& word = words_[Word(d, partition)];
+    const bool inserted = (word & Bit(partition)) == 0;
+    word |= Bit(partition);
+    return inserted;
+  }
+  /// Returns true if the bit was set.
+  bool Erase(DatasetId d, int partition) {
+    uint64_t& word = words_[Word(d, partition)];
+    const bool erased = (word & Bit(partition)) != 0;
+    word &= ~Bit(partition);
+    return erased;
+  }
+
+ private:
+  size_t Word(DatasetId d, int partition) const {
+    return static_cast<size_t>(d) * words_per_row_ +
+           static_cast<size_t>(partition) / 64;
+  }
+  static uint64_t Bit(int partition) {
+    return uint64_t{1} << (static_cast<unsigned>(partition) % 64);
+  }
+
+  size_t words_per_row_;
+  std::vector<uint64_t> words_;
+};
+
+int MaxPartitions(const Application& app) {
+  int width = 1;
+  for (const Dataset& d : app.datasets) width = std::max(width, d.num_partitions);
+  return width;
+}
+
 struct MachineState {
   explicit MachineState(const ClusterConfig& cluster)
       : mem(cluster.UnifiedMemoryPerMachine(), cluster.MinStoragePerMachine()),
@@ -81,6 +126,10 @@ struct MachineState {
 };
 
 /// Whole-run mutable state threaded through job/stage execution.
+///
+/// Everything a task touches is dense and sized once per run (per-dataset
+/// vectors and bitmaps, reused buffers), so the per-task path allocates
+/// nothing; the std::map result shape is built only in Finish().
 class RunState {
  public:
   RunState(const Application& app, const ClusterConfig& cluster,
@@ -91,12 +140,23 @@ class RunState {
         options_(options),
         fault_plan_(options.faults),
         rng_(options.seed),
-        ever_stored_(static_cast<size_t>(app.num_datasets())),
-        lost_pending_(static_cast<size_t>(app.num_datasets())),
+        max_partitions_(MaxPartitions(app)),
+        ever_stored_(app.num_datasets(), max_partitions_),
+        lost_pending_(app.num_datasets(), max_partitions_),
         materialized_(static_cast<size_t>(app.num_datasets()), false),
         persisted_(static_cast<size_t>(app.num_datasets()), false),
         drop_with_(static_cast<size_t>(app.num_datasets())),
-        machine_ready_ms_(static_cast<size_t>(cluster.num_machines), 0.0) {
+        stage_of_terminal_(static_cast<size_t>(app.num_datasets()), -1),
+        shuffle_host_count_(static_cast<size_t>(app.num_datasets()), 0),
+        shuffle_lost_(static_cast<size_t>(app.num_datasets()) *
+                          static_cast<size_t>(cluster.num_machines),
+                      0),
+        shuffle_lost_count_(static_cast<size_t>(app.num_datasets()), 0),
+        machine_ready_ms_(static_cast<size_t>(cluster.num_machines), 0.0),
+        granted_(static_cast<size_t>(cluster.num_machines), 0.0),
+        spill_factor_(static_cast<size_t>(cluster.num_machines), 1.0),
+        stats_(static_cast<size_t>(app.num_datasets())),
+        stats_touched_(static_cast<size_t>(app.num_datasets()), false) {
     for (DatasetId d : plan.PersistedDatasets()) {
       persisted_[static_cast<size_t>(d)] = true;
       drop_with_[static_cast<size_t>(d)] = plan.UnpersistBefore(d);
@@ -120,23 +180,29 @@ class RunState {
 
  private:
   [[nodiscard]] Status ExecuteJob(int job_index);
-  void BuildStages(DatasetId target, std::vector<Stage>* stages);
+
+  /// Creates the stage computing `root` (and, recursively, its wide-parent
+  /// stages) unless it exists; returns its index. `stage_of_terminal_` maps
+  /// every created stage's terminal to its index until the job ends.
+  int CreateStage(DatasetId root, std::vector<Stage>* stages);
+
+  /// Appends stage `s` after its parent stages (DFS post-order).
+  void TopoVisit(const std::vector<Stage>& stages, int s);
 
   /// Executes one stage at a named point: assigns a fresh stage id, fires
   /// the fault plan's executor losses for it, re-executes parents whose
   /// shuffle output was lost, then runs the tasks. Returns the stage end
   /// time, or kAborted (task attempts exhausted / recovery cascade too
   /// deep).
-  [[nodiscard]] StatusOr<double> ExecuteStage(
-      const std::vector<Stage>& stages, int stage_index,
-      const std::map<DatasetId, int>& by_terminal, int job_index,
-      double start_ms, int depth);
+  [[nodiscard]] StatusOr<double> ExecuteStage(const std::vector<Stage>& stages,
+                                              int stage_index, int job_index,
+                                              double start_ms, int depth);
 
   /// Runs the stage's tasks (all of them, or — on a re-execution — only the
-  /// tasks whose shuffle output lived on `only_machines`).
+  /// tasks on machines flagged in `only_machines`, one flag per machine).
   [[nodiscard]] StatusOr<double> ExecuteStageTasks(
       const Stage& stage, int job_index, int stage_id, double start_ms,
-      const std::set<int>* only_machines);
+      const char* only_machines);
 
   /// Fires the fault plan's executor losses scheduled at (job, stage):
   /// drops the machines' cached blocks as *lost*, marks their hosted
@@ -158,21 +224,37 @@ class RunState {
     return partition % cluster_.num_machines;
   }
 
+  /// The per-dataset stats entry; marks the dataset as reported.
+  DatasetCacheStats& Stats(DatasetId d) {
+    stats_touched_[static_cast<size_t>(d)] = true;
+    return stats_[static_cast<size_t>(d)];
+  }
+
+  /// Row of shuffle_lost_: one flag per machine for `terminal`'s outputs.
+  char* LostHosts(DatasetId terminal) {
+    return &shuffle_lost_[static_cast<size_t>(terminal) *
+                          static_cast<size_t>(cluster_.num_machines)];
+  }
+  void ClearLostHosts(DatasetId terminal) {
+    std::fill_n(LostHosts(terminal), cluster_.num_machines, 0);
+    shuffle_lost_count_[static_cast<size_t>(terminal)] = 0;
+  }
+
   const Application& app_;
   const ClusterConfig& cluster_;
   const CachePlan& plan_;
   const RunOptions& options_;
   FaultPlan fault_plan_;
   Rng rng_;
+  const int max_partitions_;
 
   std::vector<MachineState> machines_;
-  /// ever_stored_[d] holds partition indices of d that were cached at some
-  /// point (distinguishes first materialization from eviction recompute).
-  std::vector<std::set<int>> ever_stored_;
-  /// lost_pending_[d]: partitions dropped by executor loss and not yet
-  /// recomputed — the recompute that clears an entry counts as
-  /// `partitions_recomputed_after_loss`.
-  std::vector<std::set<int>> lost_pending_;
+  /// Partitions of each dataset that were cached at some point
+  /// (distinguishes first materialization from eviction recompute).
+  PartitionBitmap ever_stored_;
+  /// Partitions dropped by executor loss and not yet recomputed — the
+  /// recompute that clears a bit counts as `partitions_recomputed_after_loss`.
+  PartitionBitmap lost_pending_;
   std::vector<bool> materialized_;
   /// Dynamic persist state: true while p(d) is in effect; cleared when a
   /// u(d) op triggers (an unpersisted dataset is never re-stored).
@@ -180,21 +262,38 @@ class RunState {
   /// drop_with_[y]: datasets to unpersist while y first materializes.
   std::vector<std::vector<DatasetId>> drop_with_;
 
-  /// Shuffle-output bookkeeping for stage re-execution: which machines host
-  /// the map outputs of each completed shuffle-writing stage (keyed by the
-  /// stage's terminal dataset), and which of those hosts have died since.
-  std::map<DatasetId, std::set<int>> shuffle_hosts_;
-  std::map<DatasetId, std::set<int>> shuffle_lost_hosts_;
+  /// Current job's stage index per terminal dataset (-1 outside the job),
+  /// and the job's stage order; CreateStage/TopoVisit scratch.
+  std::vector<int> stage_of_terminal_;
+  std::vector<int> stage_order_;
+  std::vector<char> visit_state_;  // 0=unseen 1=visiting 2=done
+  std::vector<DatasetId> member_stack_;
+
+  /// Shuffle-output bookkeeping for stage re-execution. A completed
+  /// shuffle-writing stage with terminal t hosts its map outputs on machines
+  /// [0, shuffle_host_count_[t]) (task i runs on machine i % machines);
+  /// LostHosts(t) flags those hosts that have died since.
+  std::vector<int> shuffle_host_count_;
+  std::vector<char> shuffle_lost_;
+  std::vector<int> shuffle_lost_count_;
 
   /// Absolute time before which a machine's cores accept no tasks (executor
   /// relaunch after an injected loss).
   std::vector<double> machine_ready_ms_;
 
+  /// ExecuteStageTasks scratch, reused across stages and tasks.
+  std::vector<double> granted_;
+  std::vector<double> spill_factor_;
+  std::vector<DatasetId> cleanup_;
+  std::vector<Piece> pieces_;
+
   double now_ms_ = 0.0;
   int next_stage_id_ = 0;
 
-  // Aggregated stats.
-  std::map<DatasetId, DatasetCacheStats> stats_;
+  // Aggregated stats. Only touched datasets appear in the result, matching
+  // the keys a std::map filled on first access would have.
+  std::vector<DatasetCacheStats> stats_;
+  std::vector<bool> stats_touched_;
   int64_t hits_ = 0;
   int64_t recomputes_ = 0;
   int64_t tasks_retried_ = 0;
@@ -208,49 +307,65 @@ class RunState {
   std::shared_ptr<ProfilingDb> profile_;
 };
 
-void RunState::BuildStages(DatasetId target, std::vector<Stage>* stages) {
-  std::map<DatasetId, int> stage_of_terminal;
+int RunState::CreateStage(DatasetId root, std::vector<Stage>* stages) {
+  if (const int existing = stage_of_terminal_[static_cast<size_t>(root)];
+      existing >= 0) {
+    return existing;
+  }
+  const int index = static_cast<int>(stages->size());
+  stages->push_back(Stage{});
+  stage_of_terminal_[static_cast<size_t>(root)] = index;
+  (*stages)[static_cast<size_t>(index)].terminal = root;
 
-  std::function<int(DatasetId)> create = [&](DatasetId root) -> int {
-    if (auto it = stage_of_terminal.find(root); it != stage_of_terminal.end()) {
-      return it->second;
-    }
-    const int index = static_cast<int>(stages->size());
-    stages->push_back(Stage{});
-    stage_of_terminal[root] = index;
-    (*stages)[static_cast<size_t>(index)].terminal = root;
-
-    std::vector<DatasetId> stack = {root};
-    std::set<DatasetId> visited = {root};
-    while (!stack.empty()) {
-      const DatasetId id = stack.back();
-      stack.pop_back();
-      (*stages)[static_cast<size_t>(index)].members.push_back(id);
-      const Dataset& ds = app_.dataset(id);
-      if (ds.kind == TransformKind::kWide) {
-        // The wide dataset reads shuffle output; its parents terminate
-        // parent stages. If the wide dataset is fully cached, Spark skips
-        // the parent stages entirely.
-        if (plan_.IsPersisted(id) && FullyCached(id)) continue;
-        for (DatasetId p : ds.parents) {
-          const int parent_index = create(p);
-          Stage& self = (*stages)[static_cast<size_t>(index)];
-          self.parent_stage_terminals.push_back(
-              (*stages)[static_cast<size_t>(parent_index)].terminal);
-          // Parent stage writes this wide child's shuffle input.
-          (*stages)[static_cast<size_t>(parent_index)].shuffle_writes.push_back(
-              {id, app_.dataset(p).PartitionBytes()});
-        }
-      } else {
-        for (DatasetId p : ds.parents) {
-          if (visited.insert(p).second) stack.push_back(p);
+  // Depth-first walk of the narrow chain. The stack is shared with the
+  // nested calls for wide parents, each of which pops exactly what it
+  // pushed; this call's part starts at `base`. A dataset already visited in
+  // this stage is either a member or still on this part of the stack.
+  const size_t base = member_stack_.size();
+  member_stack_.push_back(root);
+  while (member_stack_.size() > base) {
+    const DatasetId id = member_stack_.back();
+    member_stack_.pop_back();
+    (*stages)[static_cast<size_t>(index)].members.push_back(id);
+    const Dataset& ds = app_.dataset(id);
+    if (ds.kind == TransformKind::kWide) {
+      // The wide dataset reads shuffle output; its parents terminate
+      // parent stages. If the wide dataset is fully cached, Spark skips
+      // the parent stages entirely.
+      if (plan_.IsPersisted(id) && FullyCached(id)) continue;
+      for (DatasetId p : ds.parents) {
+        const int parent_index = CreateStage(p, stages);
+        Stage& self = (*stages)[static_cast<size_t>(index)];
+        self.parent_stage_terminals.push_back(
+            (*stages)[static_cast<size_t>(parent_index)].terminal);
+        // Parent stage writes this wide child's shuffle input.
+        (*stages)[static_cast<size_t>(parent_index)].shuffle_writes.push_back(
+            {id, app_.dataset(p).PartitionBytes()});
+      }
+    } else {
+      const std::vector<DatasetId>& members =
+          (*stages)[static_cast<size_t>(index)].members;
+      for (DatasetId p : ds.parents) {
+        const auto pending = member_stack_.begin() +
+                             static_cast<std::ptrdiff_t>(base);
+        if (std::find(members.begin(), members.end(), p) == members.end() &&
+            std::find(pending, member_stack_.end(), p) == member_stack_.end()) {
+          member_stack_.push_back(p);
         }
       }
     }
-    return index;
-  };
+  }
+  return index;
+}
 
-  create(target);
+void RunState::TopoVisit(const std::vector<Stage>& stages, int s) {
+  if (visit_state_[static_cast<size_t>(s)]) return;
+  visit_state_[static_cast<size_t>(s)] = 1;
+  for (DatasetId pt : stages[static_cast<size_t>(s)].parent_stage_terminals) {
+    TopoVisit(stages, stage_of_terminal_[static_cast<size_t>(pt)]);
+  }
+  visit_state_[static_cast<size_t>(s)] = 2;
+  stage_order_.push_back(s);
 }
 
 void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine,
@@ -261,7 +376,7 @@ void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine,
 
   if (persisted && machine.mem.TouchBlock(bid)) {
     ++hits_;
-    ++stats_[d].hits;
+    ++Stats(d).hits;
     pieces->push_back(Piece{d, TransformPart::kMain,
                             ds.PartitionBytes() / cluster_.cache_bandwidth,
                             ds.PartitionBytes(), true});
@@ -294,30 +409,27 @@ void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine,
   }
 
   if (persisted) {
-    auto& stored_set = ever_stored_[static_cast<size_t>(d)];
-    const bool was_cached_before = stored_set.count(partition) > 0;
+    const bool was_cached_before = ever_stored_.Contains(d, partition);
     if (was_cached_before) {
       // This partition had been cached and was evicted or lost: the read is
       // a recomputation (paper §1's 97x-slower case). Recomputation walks
       // the same lineage as the first materialization, so the rebuilt
       // partition is bit-identical in size and provenance to the original.
       ++recomputes_;
-      ++stats_[d].recomputes;
-      auto& lost_set = lost_pending_[static_cast<size_t>(d)];
-      if (auto lost_it = lost_set.find(partition); lost_it != lost_set.end()) {
+      ++Stats(d).recomputes;
+      if (lost_pending_.Erase(d, partition)) {
         // Specifically a failure-driven recompute (executor loss), not a
         // memory-pressure one.
         ++recomputed_after_loss_;
-        ++stats_[d].recomputed_after_loss;
-        lost_set.erase(lost_it);
+        ++Stats(d).recomputed_after_loss;
       }
     }
     if (machine.mem.StoreBlock(bid, ds.PartitionBytes())) {
-      ++stats_[d].stored;
+      ++Stats(d).stored;
     }
     if (!was_cached_before) {
-      stored_set.insert(partition);
-      ++stats_[d].distinct_cached;
+      ever_stored_.Insert(d, partition);
+      ++Stats(d).distinct_cached;
     }
     // Block-wise unpersist: as this dataset's partitions materialize, the
     // corresponding partitions of the datasets scheduled for u() before it
@@ -344,21 +456,23 @@ void RunState::ApplyExecutorLosses(int job_index, int stage_id,
         machine_ready_ms_[m], now_ms + cluster_.executor_relaunch_ms);
     for (const BlockId& b : machines_[m].mem.LoseAllBlocks()) {
       ++partitions_lost_;
-      ++stats_[b.dataset].lost;
-      lost_pending_[static_cast<size_t>(b.dataset)].insert(b.partition);
+      ++Stats(b.dataset).lost;
+      lost_pending_.Insert(b.dataset, b.partition);
     }
-    for (const auto& [terminal, hosts] : shuffle_hosts_) {
-      if (hosts.count(static_cast<int>(m)) > 0) {
-        shuffle_lost_hosts_[terminal].insert(static_cast<int>(m));
+    for (size_t t = 0; t < shuffle_host_count_.size(); ++t) {
+      if (static_cast<int>(m) >= shuffle_host_count_[t]) continue;
+      char& lost = LostHosts(static_cast<DatasetId>(t))[m];
+      if (!lost) {
+        lost = 1;
+        ++shuffle_lost_count_[t];
       }
     }
   }
 }
 
-StatusOr<double> RunState::ExecuteStage(
-    const std::vector<Stage>& stages, int stage_index,
-    const std::map<DatasetId, int>& by_terminal, int job_index,
-    double start_ms, int depth) {
+StatusOr<double> RunState::ExecuteStage(const std::vector<Stage>& stages,
+                                        int stage_index, int job_index,
+                                        double start_ms, int depth) {
   if (depth > kMaxRecoveryDepth) {
     return Status::Aborted(
         "stage recovery cascade exceeded depth " +
@@ -376,26 +490,20 @@ StatusOr<double> RunState::ExecuteStage(
   // Spark semantics: a missing-shuffle fetch failure re-submits the parent
   // stage for the lost map outputs only, then retries this stage.
   for (DatasetId pt : stage.parent_stage_terminals) {
-    const auto lost_it = shuffle_lost_hosts_.find(pt);
-    if (lost_it == shuffle_lost_hosts_.end() || lost_it->second.empty()) {
-      continue;
-    }
+    if (shuffle_lost_count_[static_cast<size_t>(pt)] == 0) continue;
     ++stages_reexecuted_;
-    const int parent_index = by_terminal.at(pt);
+    const int parent_index = stage_of_terminal_[static_cast<size_t>(pt)];
     const int parent_stage_id = next_stage_id_++;
     ApplyExecutorLosses(job_index, parent_stage_id, start_ms);
     // A loss fired during the re-submission may have grown the lost set of
     // the parent's own parents; recover those first.
     const Stage& parent = stages[static_cast<size_t>(parent_index)];
     for (DatasetId grand : parent.parent_stage_terminals) {
-      const auto grand_it = shuffle_lost_hosts_.find(grand);
-      if (grand_it == shuffle_lost_hosts_.end() || grand_it->second.empty()) {
-        continue;
-      }
+      if (shuffle_lost_count_[static_cast<size_t>(grand)] == 0) continue;
       // Delegate to a full recursive execution of the grandparent repair by
       // re-running this loop's machinery one level down.
-      auto repaired = ExecuteStage(stages, parent_index, by_terminal,
-                                   job_index, start_ms, depth + 1);
+      auto repaired =
+          ExecuteStage(stages, parent_index, job_index, start_ms, depth + 1);
       if (!repaired.ok()) return repaired.status();
       start_ms = *repaired;
       break;
@@ -404,14 +512,12 @@ StatusOr<double> RunState::ExecuteStage(
     // (the relaunched executors pick their old partitions back up). Re-read
     // the lost set now: the re-submission's own losses above may have grown
     // it, and the grandparent repair may have cleared it entirely.
-    const auto again = shuffle_lost_hosts_.find(pt);
-    if (again != shuffle_lost_hosts_.end() && !again->second.empty()) {
-      const std::set<int> lost_hosts = again->second;
+    if (shuffle_lost_count_[static_cast<size_t>(pt)] > 0) {
       auto reexec = ExecuteStageTasks(parent, job_index, parent_stage_id,
-                                      start_ms, &lost_hosts);
+                                      start_ms, LostHosts(pt));
       if (!reexec.ok()) return reexec.status();
       start_ms = *reexec;
-      shuffle_lost_hosts_.erase(pt);
+      ClearLostHosts(pt);
     }
   }
 
@@ -421,7 +527,7 @@ StatusOr<double> RunState::ExecuteStage(
 
 StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
                                              int stage_id, double start_ms,
-                                             const std::set<int>* only_machines) {
+                                             const char* only_machines) {
   const Dataset& terminal = app_.dataset(stage.terminal);
   const int num_tasks = terminal.num_partitions;
 
@@ -430,14 +536,14 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
   // (no re-stores) and their blocks are dropped partition-by-partition as
   // the successor's blocks land (see ResolveChain); any leftovers are
   // cleaned up after the stage.
-  std::vector<DatasetId> cleanup;
+  cleanup_.clear();
   for (DatasetId member : stage.members) {
     if (!persisted_[static_cast<size_t>(member)]) continue;
     if (materialized_[static_cast<size_t>(member)]) continue;
     materialized_[static_cast<size_t>(member)] = true;
     for (DatasetId drop : drop_with_[static_cast<size_t>(member)]) {
       persisted_[static_cast<size_t>(drop)] = false;
-      cleanup.push_back(drop);
+      cleanup_.push_back(drop);
     }
   }
 
@@ -448,15 +554,15 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     exec_per_task = std::max(
         exec_per_task, app_.dataset(member).exec_memory_per_task_bytes);
   }
-  std::vector<double> granted(machines_.size(), 0.0);
-  std::vector<double> spill_factor(machines_.size(), 1.0);
+  std::fill(granted_.begin(), granted_.end(), 0.0);
+  std::fill(spill_factor_.begin(), spill_factor_.end(), 1.0);
   for (size_t m = 0; m < machines_.size(); ++m) {
     const double want =
         exec_per_task * static_cast<double>(cluster_.cores_per_machine);
     if (want <= 0.0) continue;
-    granted[m] = machines_[m].mem.AcquireExecution(want);
-    const double shortfall = (want - granted[m]) / want;
-    spill_factor[m] = 1.0 + options_.spill_compute_penalty * shortfall;
+    granted_[m] = machines_[m].mem.AcquireExecution(want);
+    const double shortfall = (want - granted_[m]) / want;
+    spill_factor_[m] = 1.0 + options_.spill_compute_penalty * shortfall;
   }
 
   for (size_t m = 0; m < machines_.size(); ++m) {
@@ -476,7 +582,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
 
   for (int t = 0; t < num_tasks; ++t) {
     const int machine_index = MachineFor(t);
-    if (only_machines != nullptr && only_machines->count(machine_index) == 0) {
+    if (only_machines != nullptr && !only_machines[machine_index]) {
       continue;  // Re-execution repairs only the lost hosts' outputs.
     }
     MachineState& machine = machines_[static_cast<size_t>(machine_index)];
@@ -499,17 +605,17 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
       }
     }
 
-    std::vector<Piece> pieces;
-    ResolveChain(stage.terminal, t, machine, &pieces);
+    pieces_.clear();
+    ResolveChain(stage.terminal, t, machine, &pieces_);
     for (const auto& [wide_child, bytes] : stage.shuffle_writes) {
-      pieces.push_back(Piece{wide_child, TransformPart::kShuffleWrite,
-                             bytes / cluster_.disk_bandwidth, 0.0, false});
+      pieces_.push_back(Piece{wide_child, TransformPart::kShuffleWrite,
+                              bytes / cluster_.disk_bandwidth, 0.0, false});
     }
 
     double work_ms = 0.0;
-    for (const Piece& piece : pieces) work_ms += piece.ms;
+    for (const Piece& piece : pieces_) work_ms += piece.ms;
 
-    double scale = spill_factor[static_cast<size_t>(machine_index)];
+    double scale = spill_factor_[static_cast<size_t>(machine_index)];
     if (options_.noise_sigma > 0.0) scale *= rng_.Jitter(options_.noise_sigma);
     if (options_.straggler_prob > 0.0 &&
         rng_.Bernoulli(options_.straggler_prob)) {
@@ -541,7 +647,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     const double task_start = cursor;
     cursor += cluster_.task_overhead_ms;
     if (profile_) {
-      for (const Piece& piece : pieces) {
+      for (const Piece& piece : pieces_) {
         const double dur = piece.ms * scale;
         profile_->AddTransform(TransformRecord{job_index, stage_id, t,
                                                piece.dataset, piece.part,
@@ -563,7 +669,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
         machines_.size() > 1) {
       const double clean_ms =
           cluster_.task_overhead_ms +
-          work_ms * spill_factor[static_cast<size_t>(machine_index)] *
+          work_ms * spill_factor_[static_cast<size_t>(machine_index)] *
               instr_factor;
       const double detect_ms =
           task_start + clean_ms * options_.faults.speculation_multiplier;
@@ -579,7 +685,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
           ++speculative_launched_;
           const double spec_finish =
               spec_start + cluster_.task_overhead_ms +
-              work_ms * spill_factor[spec_machine] * instr_factor;
+              work_ms * spill_factor_[spec_machine] * instr_factor;
           if (spec_finish < task_finish) {
             ++speculative_wins_;
             effective_finish = spec_finish;
@@ -611,19 +717,18 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
   }
 
   for (size_t m = 0; m < machines_.size(); ++m) {
-    if (granted[m] > 0.0) machines_[m].mem.ReleaseExecution(granted[m]);
+    if (granted_[m] > 0.0) machines_[m].mem.ReleaseExecution(granted_[m]);
   }
-  for (DatasetId drop : cleanup) {
+  for (DatasetId drop : cleanup_) {
     for (auto& m : machines_) m.mem.DropDataset(drop);
   }
 
   // A full execution of a shuffle-writing stage (re)establishes its map
-  // outputs on the machines that ran its tasks.
+  // outputs on the machines that ran its tasks: task t ran on t % machines.
   if (!stage.shuffle_writes.empty() && only_machines == nullptr) {
-    std::set<int> hosts;
-    for (int t = 0; t < num_tasks; ++t) hosts.insert(MachineFor(t));
-    shuffle_hosts_[stage.terminal] = std::move(hosts);
-    shuffle_lost_hosts_.erase(stage.terminal);
+    shuffle_host_count_[static_cast<size_t>(stage.terminal)] =
+        std::min(num_tasks, cluster_.num_machines);
+    ClearLostHosts(stage.terminal);
   }
 
   // Stage launch latency plus all-to-all shuffle coordination that grows
@@ -640,30 +745,21 @@ Status RunState::ExecuteJob(int job_index) {
   const double job_start = now_ms_;
 
   std::vector<Stage> stages;
-  BuildStages(job.target, &stages);
+  CreateStage(job.target, &stages);
 
   // Topological order: parents before children. Stage creation pushes a
   // child before its parents, so execute in dependency order via DFS.
-  std::vector<int> order;
-  std::vector<char> state(stages.size(), 0);  // 0=unseen 1=visiting 2=done
-  std::map<DatasetId, int> by_terminal;
-  for (size_t i = 0; i < stages.size(); ++i) by_terminal[stages[i].terminal] = static_cast<int>(i);
-  std::function<void(int)> visit = [&](int s) {
-    if (state[static_cast<size_t>(s)]) return;
-    state[static_cast<size_t>(s)] = 1;
-    for (DatasetId pt : stages[static_cast<size_t>(s)].parent_stage_terminals) {
-      visit(by_terminal.at(pt));
-    }
-    state[static_cast<size_t>(s)] = 2;
-    order.push_back(s);
-  };
-  visit(0);
+  stage_order_.clear();
+  visit_state_.assign(stages.size(), 0);
+  TopoVisit(stages, 0);
 
-  for (int s : order) {
-    auto end = ExecuteStage(stages, s, by_terminal, job_index, now_ms_,
-                            /*depth=*/0);
+  for (int s : stage_order_) {
+    auto end = ExecuteStage(stages, s, job_index, now_ms_, /*depth=*/0);
     if (!end.ok()) return end.status();
     now_ms_ = *end;
+  }
+  for (const Stage& stage : stages) {
+    stage_of_terminal_[static_cast<size_t>(stage.terminal)] = -1;
   }
 
   // Serial driver work + result transfer back to the driver.
@@ -701,30 +797,31 @@ RunResult RunState::Finish() {
   // Distinct evictions per dataset, collected from every machine's memory
   // manager (evictions and rejections both count: the partition is not in
   // memory when next needed).
-  std::map<DatasetId, std::set<int>> evicted;
+  PartitionBitmap evicted(app_.num_datasets(), max_partitions_);
+  std::vector<int64_t> distinct_evicted(
+      static_cast<size_t>(app_.num_datasets()), 0);
   for (const auto& m : machines_) {
     result.blocks_evicted += m.mem.blocks_evicted();
     result.store_rejections += m.mem.store_rejections();
     result.peak_execution_bytes =
         std::max(result.peak_execution_bytes, m.mem.peak_execution_used());
     for (const BlockId& b : m.mem.evicted_blocks()) {
-      evicted[b.dataset].insert(b.partition);
+      if (evicted.Insert(b.dataset, b.partition)) {
+        ++distinct_evicted[static_cast<size_t>(b.dataset)];
+      }
     }
-  }
-  for (auto& [dataset, partitions] : evicted) {
-    stats_[dataset].distinct_evicted =
-        static_cast<int64_t>(partitions.size());
   }
   for (int d = 0; d < app_.num_datasets(); ++d) {
-    if (!persisted_[static_cast<size_t>(d)]) continue;
-    auto it = stats_.find(d);
-    if (it == stats_.end()) continue;
-    it->second.persisted_at_end = true;
-    for (const auto& m : machines_) {
-      it->second.resident_at_end += m.mem.NumBlocksOf(d);
+    const auto i = static_cast<size_t>(d);
+    if (distinct_evicted[i] > 0) Stats(d).distinct_evicted = distinct_evicted[i];
+    if (!stats_touched_[i]) continue;
+    DatasetCacheStats& stats = stats_[i];
+    if (persisted_[i]) {
+      stats.persisted_at_end = true;
+      for (const auto& m : machines_) stats.resident_at_end += m.mem.NumBlocksOf(d);
     }
+    result.dataset_stats.emplace_hint(result.dataset_stats.end(), d, stats);
   }
-  result.dataset_stats = std::move(stats_);
   result.profile = std::move(profile_);
   return result;
 }

@@ -27,13 +27,14 @@ void UnifiedMemoryManager::ReleaseExecution(double bytes) {
 }
 
 bool UnifiedMemoryManager::StoreBlock(BlockId id, double bytes) {
-  if (auto it = index_.find(id); it != index_.end()) {
+  if (const int32_t n = Find(id); n != kNil) {
     // Already cached; treat as a touch.
-    lru_.splice(lru_.end(), lru_, it->second);
+    Unlink(n);
+    LinkBack(n);
     return true;
   }
   const double cap = unified_ - execution_used_;
-  if (bytes > cap) {
+  if (bytes > cap || id.dataset < 0 || id.partition < 0) {
     ++store_rejections_;
     evicted_blocks_.push_back(id);
     return false;
@@ -47,79 +48,145 @@ bool UnifiedMemoryManager::StoreBlock(BlockId id, double bytes) {
       return false;
     }
   }
-  lru_.push_back(Block{id, bytes});
-  index_[id] = std::prev(lru_.end());
+  Insert(id, bytes);
   storage_used_ += bytes;
   ++blocks_stored_;
   return true;
 }
 
 bool UnifiedMemoryManager::TouchBlock(BlockId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  lru_.splice(lru_.end(), lru_, it->second);
+  const int32_t n = Find(id);
+  if (n == kNil) return false;
+  Unlink(n);
+  LinkBack(n);
   return true;
 }
 
 bool UnifiedMemoryManager::HasBlock(BlockId id) const {
-  return index_.count(id) > 0;
+  return Find(id) != kNil;
 }
 
 void UnifiedMemoryManager::DropDataset(DatasetId dataset) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->id.dataset == dataset) {
-      storage_used_ -= it->bytes;
-      index_.erase(it->id);
-      it = lru_.erase(it);
-    } else {
-      ++it;
+  // Walk in LRU order: the order of the subtractions decides the low bits
+  // of storage_used_. Stop once the dataset is gone.
+  for (int32_t n = lru_head_; n != kNil && NumBlocksOf(dataset) > 0;) {
+    const Node& node = nodes_[static_cast<size_t>(n)];
+    const int32_t next = node.next;
+    if (node.id.dataset == dataset) {
+      storage_used_ -= node.bytes;
+      Remove(n);
     }
+    n = next;
   }
   storage_used_ = std::max(0.0, storage_used_);
 }
 
 void UnifiedMemoryManager::DropBlock(BlockId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  storage_used_ = std::max(0.0, storage_used_ - it->second->bytes);
-  lru_.erase(it->second);
-  index_.erase(it);
+  const int32_t n = Find(id);
+  if (n == kNil) return;
+  storage_used_ =
+      std::max(0.0, storage_used_ - nodes_[static_cast<size_t>(n)].bytes);
+  Remove(n);
 }
 
 std::vector<BlockId> UnifiedMemoryManager::LoseAllBlocks() {
   std::vector<BlockId> lost;
-  lost.reserve(lru_.size());
-  for (const Block& block : lru_) lost.push_back(block.id);
-  blocks_lost_ += static_cast<int64_t>(lru_.size());
-  lru_.clear();
-  index_.clear();
+  lost.reserve(static_cast<size_t>(num_blocks_));
+  for (int32_t n = lru_head_; n != kNil;) {
+    const Node& node = nodes_[static_cast<size_t>(n)];
+    lost.push_back(node.id);
+    slots_[static_cast<size_t>(node.id.dataset)]
+          [static_cast<size_t>(node.id.partition)] = kNil;
+    n = node.next;
+  }
+  blocks_lost_ += num_blocks_;
+  std::fill(blocks_of_.begin(), blocks_of_.end(), 0);
+  num_blocks_ = 0;
+  nodes_.clear();
+  free_ = lru_head_ = lru_tail_ = kNil;
   storage_used_ = 0.0;
   return lost;
 }
 
-int UnifiedMemoryManager::NumBlocksOf(DatasetId dataset) const {
-  int n = 0;
-  for (const auto& [id, _] : index_) {
-    if (id.dataset == dataset) ++n;
+void UnifiedMemoryManager::Insert(BlockId id, double bytes) {
+  const auto dataset = static_cast<size_t>(id.dataset);
+  const auto partition = static_cast<size_t>(id.partition);
+  if (dataset >= slots_.size()) {
+    slots_.resize(dataset + 1);
+    blocks_of_.resize(dataset + 1, 0);
   }
-  return n;
+  std::vector<int32_t>& row = slots_[dataset];
+  if (partition >= row.size()) row.resize(partition + 1, kNil);
+
+  int32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[static_cast<size_t>(n)].next;
+  } else {
+    n = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  Node& node = nodes_[static_cast<size_t>(n)];
+  node.id = id;
+  node.bytes = bytes;
+  LinkBack(n);
+  row[partition] = n;
+  ++blocks_of_[dataset];
+  ++num_blocks_;
+}
+
+void UnifiedMemoryManager::Remove(int32_t n) {
+  Unlink(n);
+  Node& node = nodes_[static_cast<size_t>(n)];
+  slots_[static_cast<size_t>(node.id.dataset)]
+        [static_cast<size_t>(node.id.partition)] = kNil;
+  --blocks_of_[static_cast<size_t>(node.id.dataset)];
+  --num_blocks_;
+  node.next = free_;
+  free_ = n;
+}
+
+void UnifiedMemoryManager::Unlink(int32_t n) {
+  const Node& node = nodes_[static_cast<size_t>(n)];
+  if (node.prev != kNil) {
+    nodes_[static_cast<size_t>(node.prev)].next = node.next;
+  } else {
+    lru_head_ = node.next;
+  }
+  if (node.next != kNil) {
+    nodes_[static_cast<size_t>(node.next)].prev = node.prev;
+  } else {
+    lru_tail_ = node.prev;
+  }
+}
+
+void UnifiedMemoryManager::LinkBack(int32_t n) {
+  Node& node = nodes_[static_cast<size_t>(n)];
+  node.prev = lru_tail_;
+  node.next = kNil;
+  if (lru_tail_ != kNil) {
+    nodes_[static_cast<size_t>(lru_tail_)].next = n;
+  } else {
+    lru_head_ = n;
+  }
+  lru_tail_ = n;
 }
 
 bool UnifiedMemoryManager::EvictFor(double bytes, DatasetId protect,
                                     double floor) {
   double freed = 0.0;
-  auto it = lru_.begin();
-  while (it != lru_.end() && freed < bytes && storage_used_ > floor) {
-    if (it->id.dataset == protect) {
-      ++it;
-      continue;
+  // Every cached block protected: the walk below would skip them all.
+  int32_t n = NumBlocksOf(protect) == num_blocks_ ? kNil : lru_head_;
+  while (n != kNil && freed < bytes && storage_used_ > floor) {
+    const Node& node = nodes_[static_cast<size_t>(n)];
+    const int32_t next = node.next;
+    if (node.id.dataset != protect) {
+      freed += node.bytes;
+      storage_used_ -= node.bytes;
+      ++blocks_evicted_;
+      evicted_blocks_.push_back(node.id);
+      Remove(n);
     }
-    freed += it->bytes;
-    storage_used_ -= it->bytes;
-    ++blocks_evicted_;
-    evicted_blocks_.push_back(it->id);
-    index_.erase(it->id);
-    it = lru_.erase(it);
+    n = next;
   }
   storage_used_ = std::max(0.0, storage_used_);
   return freed >= bytes;

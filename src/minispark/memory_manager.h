@@ -2,8 +2,6 @@
 #define JUGGLER_MINISPARK_MEMORY_MANAGER_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <vector>
 
 #include "minispark/types.h"
@@ -28,6 +26,13 @@ struct BlockId {
 ///    own blocks are never evicted to admit more of the same dataset,
 ///    matching Spark's BlockManager rule);
 ///  - a block larger than what can be freed is simply not cached.
+///
+/// The LRU order is an intrusive doubly linked list over a slab of nodes
+/// (freed nodes are recycled through a free list), found by a dense
+/// (dataset, partition) -> node index; per-dataset block counts make
+/// NumBlocksOf O(1). Once the index has grown to a run's ids, no operation
+/// allocates except appending to `evicted_blocks()`. Ids are dense dataset
+/// ids and partition indices; a block with a negative id is never stored.
 class UnifiedMemoryManager {
  public:
   UnifiedMemoryManager(double unified_bytes, double min_storage_bytes);
@@ -76,21 +81,49 @@ class UnifiedMemoryManager {
   int64_t blocks_evicted() const { return blocks_evicted_; }
   int64_t blocks_lost() const { return blocks_lost_; }
   int64_t store_rejections() const { return store_rejections_; }
-  int num_blocks() const { return static_cast<int>(index_.size()); }
+  int num_blocks() const { return num_blocks_; }
 
   /// Distinct blocks of `dataset` currently cached.
-  int NumBlocksOf(DatasetId dataset) const;
+  int NumBlocksOf(DatasetId dataset) const {
+    return dataset >= 0 && static_cast<size_t>(dataset) < blocks_of_.size()
+               ? blocks_of_[static_cast<size_t>(dataset)]
+               : 0;
+  }
 
   /// All blocks evicted (or rejected) since construction, for cache-stat
   /// aggregation. Unpersisted (dropped) blocks are not included.
   const std::vector<BlockId>& evicted_blocks() const { return evicted_blocks_; }
 
  private:
-  struct Block {
+  static constexpr int32_t kNil = -1;
+
+  /// One cached block, linked into the LRU list (or, when free, into the
+  /// free list through `next`).
+  struct Node {
     BlockId id;
-    double bytes;
+    double bytes = 0.0;
+    int32_t prev = kNil;
+    int32_t next = kNil;
   };
-  using LruList = std::list<Block>;
+
+  /// Node index of a cached block, or kNil.
+  int32_t Find(BlockId id) const {
+    if (id.dataset < 0 || static_cast<size_t>(id.dataset) >= slots_.size()) {
+      return kNil;
+    }
+    const std::vector<int32_t>& row = slots_[static_cast<size_t>(id.dataset)];
+    return id.partition >= 0 && static_cast<size_t>(id.partition) < row.size()
+               ? row[static_cast<size_t>(id.partition)]
+               : kNil;
+  }
+
+  /// Caches a new block at the most recently used end.
+  void Insert(BlockId id, double bytes);
+  /// Uncaches node `n` and recycles it.
+  void Remove(int32_t n);
+  /// Detaches node `n` from the LRU list / appends it at the MRU end.
+  void Unlink(int32_t n);
+  void LinkBack(int32_t n);
 
   /// Evicts LRU blocks until at least `bytes` are free for storage, skipping
   /// blocks of `protect` (kInvalidDataset protects nothing) and never letting
@@ -103,8 +136,15 @@ class UnifiedMemoryManager {
   double execution_used_ = 0.0;
   double peak_execution_used_ = 0.0;
 
-  LruList lru_;  // front = least recently used.
-  std::map<BlockId, LruList::iterator> index_;
+  std::vector<Node> nodes_;
+  int32_t free_ = kNil;
+  int32_t lru_head_ = kNil;  // Least recently used.
+  int32_t lru_tail_ = kNil;  // Most recently used.
+  /// slots_[dataset][partition]: node index of the cached block, or kNil.
+  std::vector<std::vector<int32_t>> slots_;
+  /// blocks_of_[dataset]: cached blocks of that dataset.
+  std::vector<int> blocks_of_;
+  int num_blocks_ = 0;
 
   int64_t blocks_stored_ = 0;
   int64_t blocks_evicted_ = 0;

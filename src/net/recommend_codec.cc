@@ -25,6 +25,8 @@ const char* CodeName(StatusCode code) {
       return "RESOURCE_EXHAUSTED";
     case StatusCode::kAborted:
       return "ABORTED";
+    case StatusCode::kUnavailable:
+      return "UNAVAILABLE";
     case StatusCode::kInternal:
       return "INTERNAL";
   }
@@ -39,6 +41,7 @@ StatusCode CodeFromName(const std::string& name) {
   if (name == "FAILED_PRECONDITION") return StatusCode::kFailedPrecondition;
   if (name == "RESOURCE_EXHAUSTED") return StatusCode::kResourceExhausted;
   if (name == "ABORTED") return StatusCode::kAborted;
+  if (name == "UNAVAILABLE") return StatusCode::kUnavailable;
   return StatusCode::kInternal;
 }
 
@@ -51,6 +54,7 @@ int HttpStatusFor(StatusCode code) {
       return 404;
     case StatusCode::kResourceExhausted:
     case StatusCode::kFailedPrecondition:
+    case StatusCode::kUnavailable:
       return 503;  // Transient: full queue / not ready. Retry with backoff.
     default:
       return 500;

@@ -1,5 +1,6 @@
 #include "online/model_publisher.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -63,8 +64,23 @@ Status ModelPublisher::WriteAtomic(const std::string& app,
       return Status::Internal("short write to temp artifact " + temp);
     }
   }
+  const std::string target = ArtifactPath(directory_, app);
+  // Registries notice a new artifact by its (mtime, size) fingerprint, and
+  // file timestamps only advance once per kernel tick: two same-sized
+  // publishes within one tick would look like no change. Keep each
+  // artifact's mtime strictly increasing so no fingerprint ever repeats.
+  // Best effort: on a stat/utime error the swap proceeds as before.
+  std::error_code mtime_ec;
+  const auto incumbent = std::filesystem::last_write_time(target, mtime_ec);
+  if (!mtime_ec) {
+    const auto floor = incumbent + std::chrono::microseconds(1);
+    const auto written = std::filesystem::last_write_time(temp, mtime_ec);
+    if (!mtime_ec && written < floor) {
+      std::filesystem::last_write_time(temp, floor, mtime_ec);
+    }
+  }
   std::error_code ec;
-  std::filesystem::rename(temp, ArtifactPath(directory_, app), ec);
+  std::filesystem::rename(temp, target, ec);
   if (ec) {
     std::error_code discard;
     std::filesystem::remove(temp, discard);

@@ -59,7 +59,8 @@ class ModelPublisher {
 
  private:
   /// Writes `text` to a temp file in the registry directory and renames it
-  /// over `<dir>/<app>.model`. All I/O, no locks.
+  /// over `<dir>/<app>.model`, with an mtime later than the replaced
+  /// artifact's. All I/O, no locks.
   [[nodiscard]] Status WriteAtomic(const std::string& app,
                                    const std::string& text);
 

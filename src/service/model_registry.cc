@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <utility>
 
 #include "core/serialization.h"
@@ -11,6 +13,26 @@
 namespace juggler::service {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// The (mtime, size) change detector every scan and lazy load uses. False if
+/// the file cannot be stat'ed.
+bool Fingerprint(const fs::path& path, int64_t* mtime_ns, uint64_t* size) {
+  std::error_code mtime_ec;
+  std::error_code size_ec;
+  const auto mtime = fs::last_write_time(path, mtime_ec);
+  const uintmax_t bytes = fs::file_size(path, size_ec);
+  if (mtime_ec || size_ec) return false;
+  *mtime_ns = static_cast<int64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          mtime.time_since_epoch())
+          .count());
+  *size = static_cast<uint64_t>(bytes);
+  return true;
+}
+
+}  // namespace
 
 ModelRegistry::ModelRegistry(std::string directory)
     : ModelRegistry(std::move(directory), Options()) {}
@@ -81,21 +103,13 @@ Status ModelRegistry::RefreshImpl() {
     next_snapshot->artifacts.emplace(path.string(), std::move(artifact));
   };
   for (const fs::path& path : paths) {
-    const auto mtime = fs::last_write_time(path, ec);
-    const uintmax_t size = fs::file_size(path, ec);
-    if (ec) {
+    Artifact artifact;
+    if (!Fingerprint(path, &artifact.mtime_ns, &artifact.file_size)) {
       // Likely deleted between the directory listing and the stat; treat
       // like any other broken artifact rather than poisoning the refresh.
-      ec.clear();
       degrade(path, Artifact{}, next.get());
       continue;
     }
-    Artifact artifact;
-    artifact.mtime_ns = static_cast<int64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            mtime.time_since_epoch())
-            .count());
-    artifact.file_size = static_cast<uint64_t>(size);
 
     // Unchanged fingerprint: carry the parsed model over by pointer; the
     // file is not opened at all.
@@ -214,6 +228,19 @@ StatusOr<std::shared_ptr<const core::TrainedJuggler>> ModelRegistry::Lookup(
 StatusOr<ModelRegistry::Resolved> ModelRegistry::Resolve(
     const std::string& app) const {
   const auto snapshot = CurrentSnapshot();
+  auto resolved = ResolveIn(app, snapshot);
+  if (resolved.status().code() == StatusCode::kUnavailable) {
+    // The artifact changed after `snapshot` was taken. A refresh that has
+    // run since describes the new file; resolve once more against it.
+    const auto current = CurrentSnapshot();
+    if (current != snapshot) return ResolveIn(app, current);
+  }
+  return resolved;
+}
+
+StatusOr<ModelRegistry::Resolved> ModelRegistry::ResolveIn(
+    const std::string& app,
+    const std::shared_ptr<const Snapshot>& snapshot) const {
   auto it = snapshot->models.find(app);
   if (it == snapshot->models.end()) {
     std::string known;
@@ -252,10 +279,30 @@ StatusOr<ModelRegistry::Resolved> ModelRegistry::ResolveLazy(
   // Parse outside the lock — artifact reads are milliseconds, lookups must
   // not stall behind them. Two threads racing on the same cold app both
   // parse; the second insert wins nothing but wastes only its own time.
-  std::ifstream in(path);
-  if (!in) {
+  //
+  // The bytes must be the file this snapshot registered: a publish may have
+  // replaced it since, and its model belongs to a version no snapshot has
+  // published yet. Check the fingerprint before and after the read.
+  const auto unchanged = [&] {
+    int64_t mtime_ns = 0;
+    uint64_t size = 0;
+    return Fingerprint(path, &mtime_ns, &size) &&
+           mtime_ns == art->second.mtime_ns && size == art->second.file_size;
+  };
+  const auto changed = [&] {
+    return Status::Unavailable(
+        "model artifact " + path + " changed on disk after snapshot v" +
+        std::to_string(snapshot->version) + "; retry after the next refresh");
+  };
+  if (!unchanged()) return changed();
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
     return Status::NotFound("cannot read model artifact: " + path);
   }
+  std::string text{std::istreambuf_iterator<char>(file),
+                   std::istreambuf_iterator<char>()};
+  if (!unchanged()) return changed();
+  std::istringstream in(text);
   auto trained = core::LoadTrainedJuggler(in);
   if (!trained.ok()) {
     return Status(trained.status().code(),

@@ -120,6 +120,14 @@ class ModelRegistry {
   /// (a concurrent Refresh() between `Lookup()` and `version()` could
   /// otherwise mismatch the two — and a mismatched pair poisons version-keyed
   /// caches).
+  ///
+  /// Lazy mode parses the artifact on first use and only if the file still
+  /// has the (mtime, size) fingerprint the snapshot registered, checked
+  /// before and after the read. A file rewritten after the snapshot belongs
+  /// to no published version yet: Resolve() retries once against a newer
+  /// snapshot if a refresh has published one, and otherwise returns
+  /// Unavailable until the next Refresh() (never the new model under the old
+  /// version).
   [[nodiscard]] StatusOr<Resolved> Resolve(const std::string& app) const;
 
   /// Registered application names, sorted.
@@ -172,6 +180,11 @@ class ModelRegistry {
   };
 
   std::shared_ptr<const Snapshot> CurrentSnapshot() const EXCLUDES(mu_);
+
+  /// Resolve() against one snapshot.
+  StatusOr<Resolved> ResolveIn(const std::string& app,
+                               const std::shared_ptr<const Snapshot>& snapshot)
+      const EXCLUDES(mu_);
 
   /// Refresh() body; the public wrapper brackets it with the
   /// refresh-in-progress gauge.

@@ -2,7 +2,10 @@
 
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/table_printer.h"
@@ -88,6 +91,27 @@ TEST(UnitsTest, FormatBytesPicksUnit) {
   EXPECT_EQ(FormatBytes(KiB(2)), "2.0 KB");
   EXPECT_EQ(FormatBytes(MiB(35.9)), "35.9 MB");
   EXPECT_EQ(FormatBytes(GiB(35.9)), "35.9 GB");
+}
+
+// The threshold is read on every log statement while a tool may change it;
+// under TSan this pins the read/write pair as race-free.
+TEST(LoggerTest, ThresholdChangesWhileOtherThreadsLog) {
+  const LogLevel saved = Logger::threshold();
+  std::thread setter([] {
+    for (int i = 0; i < 2000; ++i) {
+      Logger::set_threshold(i % 2 ? LogLevel::kError : LogLevel::kWarning);
+    }
+  });
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 2; ++t) {
+    loggers.emplace_back([] {
+      for (int i = 0; i < 2000; ++i) JUGGLER_LOG(Debug) << "filtered " << i;
+    });
+  }
+  setter.join();
+  for (std::thread& t : loggers) t.join();
+  Logger::set_threshold(saved);
+  EXPECT_EQ(Logger::threshold(), saved);
 }
 
 TEST(UnitsTest, FormatTimePicksUnit) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <vector>
+
 #include "common/random.h"
 #include "common/units.h"
 #include "minispark/memory_manager.h"
@@ -110,6 +116,16 @@ TEST(MemoryManagerTest, DropDatasetRemovesAllItsBlocks) {
   EXPECT_TRUE(mem.evicted_blocks().empty());
 }
 
+TEST(MemoryManagerTest, RejectsNegativeIds) {
+  UnifiedMemoryManager mem(1000, 0);
+  EXPECT_FALSE(mem.StoreBlock({kInvalidDataset, 0}, 10));
+  EXPECT_FALSE(mem.StoreBlock({0, -1}, 10));
+  EXPECT_EQ(mem.store_rejections(), 2);
+  EXPECT_EQ(mem.num_blocks(), 0);
+  EXPECT_FALSE(mem.HasBlock({0, -1}));
+  EXPECT_EQ(mem.NumBlocksOf(kInvalidDataset), 0);
+}
+
 TEST(MemoryManagerTest, ReleaseExecutionClampsAtZero) {
   UnifiedMemoryManager mem(1000, 0);
   mem.ReleaseExecution(100);
@@ -167,6 +183,251 @@ TEST_P(MemoryManagerPropertyTest, InvariantsHoldUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(RandomOps, MemoryManagerPropertyTest,
                          ::testing::Range(0, 20));
+
+/// The std::list + std::map implementation the slab LRU replaced, kept
+/// verbatim as an oracle: the engine's output is bit-identical only if the
+/// manager makes the same decisions in the same order with the same
+/// floating-point arithmetic.
+class ReferenceMemoryManager {
+ public:
+  ReferenceMemoryManager(double unified_bytes, double min_storage_bytes)
+      : unified_(unified_bytes), min_storage_(min_storage_bytes) {}
+
+  double AcquireExecution(double bytes) {
+    if (bytes <= 0.0) return 0.0;
+    double free = unified_ - execution_used_ - storage_used_;
+    if (free < bytes) {
+      EvictFor(bytes - free, kInvalidDataset, min_storage_);
+      free = unified_ - execution_used_ - storage_used_;
+    }
+    const double granted = std::max(0.0, std::min(bytes, free));
+    execution_used_ += granted;
+    peak_execution_used_ = std::max(peak_execution_used_, execution_used_);
+    return granted;
+  }
+
+  void ReleaseExecution(double bytes) {
+    execution_used_ = std::max(0.0, execution_used_ - bytes);
+  }
+
+  bool StoreBlock(BlockId id, double bytes) {
+    if (auto it = index_.find(id); it != index_.end()) {
+      lru_.splice(lru_.end(), lru_, it->second);
+      return true;
+    }
+    const double cap = unified_ - execution_used_;
+    if (bytes > cap) {
+      ++store_rejections_;
+      evicted_blocks_.push_back(id);
+      return false;
+    }
+    if (storage_used_ + bytes > cap) {
+      if (!EvictFor(storage_used_ + bytes - cap, id.dataset, 0.0)) {
+        ++store_rejections_;
+        evicted_blocks_.push_back(id);
+        return false;
+      }
+    }
+    lru_.push_back(Block{id, bytes});
+    index_[id] = std::prev(lru_.end());
+    storage_used_ += bytes;
+    ++blocks_stored_;
+    return true;
+  }
+
+  bool TouchBlock(BlockId id) {
+    auto it = index_.find(id);
+    if (it == index_.end()) return false;
+    lru_.splice(lru_.end(), lru_, it->second);
+    return true;
+  }
+
+  bool HasBlock(BlockId id) const { return index_.count(id) > 0; }
+
+  void DropDataset(DatasetId dataset) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->id.dataset == dataset) {
+        storage_used_ -= it->bytes;
+        index_.erase(it->id);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    storage_used_ = std::max(0.0, storage_used_);
+  }
+
+  void DropBlock(BlockId id) {
+    auto it = index_.find(id);
+    if (it == index_.end()) return;
+    storage_used_ = std::max(0.0, storage_used_ - it->second->bytes);
+    lru_.erase(it->second);
+    index_.erase(it);
+  }
+
+  std::vector<BlockId> LoseAllBlocks() {
+    std::vector<BlockId> lost;
+    for (const Block& block : lru_) lost.push_back(block.id);
+    blocks_lost_ += static_cast<int64_t>(lru_.size());
+    lru_.clear();
+    index_.clear();
+    storage_used_ = 0.0;
+    return lost;
+  }
+
+  int NumBlocksOf(DatasetId dataset) const {
+    int n = 0;
+    for (const auto& [id, _] : index_) {
+      if (id.dataset == dataset) ++n;
+    }
+    return n;
+  }
+
+  double storage_used() const { return storage_used_; }
+  double execution_used() const { return execution_used_; }
+  double peak_execution_used() const { return peak_execution_used_; }
+  double storage_available() const {
+    return unified_ - execution_used_ - storage_used_;
+  }
+  int64_t blocks_stored() const { return blocks_stored_; }
+  int64_t blocks_evicted() const { return blocks_evicted_; }
+  int64_t blocks_lost() const { return blocks_lost_; }
+  int64_t store_rejections() const { return store_rejections_; }
+  int num_blocks() const { return static_cast<int>(index_.size()); }
+  const std::vector<BlockId>& evicted_blocks() const { return evicted_blocks_; }
+
+ private:
+  struct Block {
+    BlockId id;
+    double bytes;
+  };
+  using LruList = std::list<Block>;
+
+  bool EvictFor(double bytes, DatasetId protect, double floor) {
+    double freed = 0.0;
+    auto it = lru_.begin();
+    while (it != lru_.end() && freed < bytes && storage_used_ > floor) {
+      if (it->id.dataset == protect) {
+        ++it;
+        continue;
+      }
+      freed += it->bytes;
+      storage_used_ -= it->bytes;
+      ++blocks_evicted_;
+      evicted_blocks_.push_back(it->id);
+      index_.erase(it->id);
+      it = lru_.erase(it);
+    }
+    storage_used_ = std::max(0.0, storage_used_);
+    return freed >= bytes;
+  }
+
+  double unified_;
+  double min_storage_;
+  double storage_used_ = 0.0;
+  double execution_used_ = 0.0;
+  double peak_execution_used_ = 0.0;
+  LruList lru_;
+  std::map<BlockId, LruList::iterator> index_;
+  int64_t blocks_stored_ = 0;
+  int64_t blocks_evicted_ = 0;
+  int64_t blocks_lost_ = 0;
+  int64_t store_rejections_ = 0;
+  std::vector<BlockId> evicted_blocks_;
+};
+
+/// Exact (bitwise for doubles) equality of every observable.
+void ExpectSameState(const UnifiedMemoryManager& mem,
+                     const ReferenceMemoryManager& ref, int num_datasets,
+                     int step) {
+  SCOPED_TRACE("step " + std::to_string(step));
+  ASSERT_EQ(mem.storage_used(), ref.storage_used());
+  ASSERT_EQ(mem.execution_used(), ref.execution_used());
+  ASSERT_EQ(mem.peak_execution_used(), ref.peak_execution_used());
+  ASSERT_EQ(mem.storage_available(), ref.storage_available());
+  ASSERT_EQ(mem.blocks_stored(), ref.blocks_stored());
+  ASSERT_EQ(mem.blocks_evicted(), ref.blocks_evicted());
+  ASSERT_EQ(mem.blocks_lost(), ref.blocks_lost());
+  ASSERT_EQ(mem.store_rejections(), ref.store_rejections());
+  ASSERT_EQ(mem.num_blocks(), ref.num_blocks());
+  ASSERT_EQ(mem.evicted_blocks(), ref.evicted_blocks());
+  for (DatasetId d = -1; d <= num_datasets; ++d) {
+    ASSERT_EQ(mem.NumBlocksOf(d), ref.NumBlocksOf(d)) << "dataset " << d;
+  }
+}
+
+/// Differential test: seeded random op sequences against the reference.
+/// Block ids mix a dense range with rare far-out partitions, sizes span
+/// tiny to larger-than-M, and every op's return value must match.
+class MemoryManagerDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MemoryManagerDifferentialTest, MatchesReferenceImplementation) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 17);
+  const double unified = rng.Uniform(1000, 10000);
+  const double min_storage = rng.Uniform(0, unified * 0.6);
+  const int num_datasets = 1 + static_cast<int>(rng.UniformInt(7));
+  const int num_partitions = 1 + static_cast<int>(rng.UniformInt(48));
+  UnifiedMemoryManager mem(unified, min_storage);
+  ReferenceMemoryManager ref(unified, min_storage);
+  double exec_held = 0.0;
+
+  for (int step = 0; step < 1500; ++step) {
+    const BlockId id{
+        static_cast<DatasetId>(rng.UniformInt(static_cast<uint64_t>(num_datasets))),
+        rng.Bernoulli(0.02)
+            ? static_cast<int>(rng.UniformInt(5000))
+            : static_cast<int>(rng.UniformInt(static_cast<uint64_t>(num_partitions)))};
+    switch (rng.UniformInt(10)) {
+      case 0:
+      case 1:
+      case 2: {
+        const double bytes = rng.Bernoulli(0.05)
+                                 ? rng.Uniform(unified / 2, unified * 1.2)
+                                 : rng.Uniform(1, unified / 8);
+        ASSERT_EQ(mem.StoreBlock(id, bytes), ref.StoreBlock(id, bytes));
+        break;
+      }
+      case 3:
+      case 4:
+        ASSERT_EQ(mem.TouchBlock(id), ref.TouchBlock(id));
+        break;
+      case 5:
+        ASSERT_EQ(mem.HasBlock(id), ref.HasBlock(id));
+        mem.DropBlock(id);
+        ref.DropBlock(id);
+        break;
+      case 6:
+        if (rng.Bernoulli(0.3)) {
+          mem.DropDataset(id.dataset);
+          ref.DropDataset(id.dataset);
+        }
+        break;
+      case 7: {
+        const double want = rng.Uniform(-10, unified / 2);
+        const double granted = mem.AcquireExecution(want);
+        ASSERT_EQ(granted, ref.AcquireExecution(want));
+        exec_held += granted;
+        break;
+      }
+      case 8: {
+        const double release = rng.Uniform(0, exec_held * 1.1);
+        mem.ReleaseExecution(release);
+        ref.ReleaseExecution(release);
+        exec_held = std::max(0.0, exec_held - release);
+        break;
+      }
+      case 9:
+        if (rng.Bernoulli(0.05)) {
+          ASSERT_EQ(mem.LoseAllBlocks(), ref.LoseAllBlocks());
+        }
+        break;
+    }
+    ExpectSameState(mem, ref, num_datasets, step);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoryManagerDifferentialTest,
+                         ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace juggler::minispark

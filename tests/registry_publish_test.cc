@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "core/juggler.h"
 #include "core/serialization.h"
 #include "online/model_publisher.h"
@@ -48,6 +52,16 @@ TrainedJuggler Variant(const TrainedJuggler& model, double scale) {
   }
   return TrainedJuggler(model.app_name(), model.schedules(), model.sizes(),
                         model.memory(), std::move(scaled));
+}
+
+/// Tells Variant()s of one model apart: the sum of its time-model
+/// coefficients.
+double ModelTag(const TrainedJuggler& model) {
+  double sum = 0.0;
+  for (const math::LinearModel& m : model.time_models()) {
+    for (double c : m.coefficients()) sum += c;
+  }
+  return sum;
 }
 
 fs::path MakeModelDir(const std::string& test_name) {
@@ -147,15 +161,31 @@ TEST(RegistryPublishTest, SwapsRaceCleanlyWithLazyEviction) {
       std::make_shared<service::ModelRegistry>(dir.string(), options);
   ASSERT_TRUE(registry->Refresh().ok());
 
+  // A reader whose snapshot predates a publish that no refresh has picked
+  // up yet gets UNAVAILABLE; every answer it does get must be the model of
+  // the version it is labelled with, i.e. one model per (app, version).
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> answered{0};
+  Mutex seen_mu;
+  std::map<std::pair<std::string, uint64_t>, double> seen;
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
       const std::string app = (t % 2 == 0) ? "svm" : "pca";
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = registry->Resolve(app);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        if (!r.ok()) {
+          ASSERT_EQ(r.status().code(), StatusCode::kUnavailable)
+              << r.status().ToString();
+          continue;
+        }
         ASSERT_EQ(r->model->app_name(), app);
+        const double tag = ModelTag(*r->model);
+        MutexLock lock(seen_mu);
+        const auto [it, first] = seen.emplace(std::pair(app, r->version), tag);
+        ASSERT_EQ(it->second, tag) << app << " v" << r->version
+                                   << " served two different models";
+        answered.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -170,6 +200,68 @@ TEST(RegistryPublishTest, SwapsRaceCleanlyWithLazyEviction) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(registry->evictions(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+}
+
+// Registries detect a publish by its (mtime, size) fingerprint, and file
+// timestamps are coarse: a same-sized republish within one clock tick would
+// be invisible. The publisher must move the mtime past the incumbent's even
+// when the clock has not (here the incumbent's mtime is set ahead of it).
+TEST(RegistryPublishTest, PublishAlwaysAdvancesTheArtifactMtime) {
+  const fs::path dir = MakeModelDir("mtime");
+  const TrainedJuggler a = TrainSmall("svm");
+  ModelPublisher publisher(dir.string());
+  ASSERT_TRUE(publisher.Publish(a).ok());
+  const fs::path artifact = dir / "svm.model";
+  const auto ahead = fs::last_write_time(artifact) + std::chrono::hours(1);
+  fs::last_write_time(artifact, ahead);
+
+  service::ModelRegistry registry(dir.string());
+  ASSERT_TRUE(registry.Refresh().ok());
+  const uint64_t version = registry.version();
+
+  ASSERT_TRUE(publisher.Publish(a).ok());  // Byte-identical republish.
+  EXPECT_GT(fs::last_write_time(artifact), ahead);
+  ASSERT_TRUE(registry.Refresh().ok());
+  EXPECT_GT(registry.version(), version);
+}
+
+// A lazy registry must never parse an artifact that changed after its
+// snapshot and serve it under the snapshot's version: the overwritten file
+// is reported UNAVAILABLE (and not cached) until a refresh publishes it.
+TEST(RegistryPublishTest, LazyResolveRejectsArtifactRewrittenAfterRefresh) {
+  const fs::path dir = MakeModelDir("lazy_rewrite");
+  const TrainedJuggler a = TrainSmall("svm");
+  const TrainedJuggler b = Variant(a, 2.0);
+  ModelPublisher publisher(dir.string());
+  ASSERT_TRUE(publisher.Publish(a).ok());
+
+  service::ModelRegistry::Options options;
+  options.lazy_load = true;
+  service::ModelRegistry registry(dir.string(), options);
+  ASSERT_TRUE(registry.Refresh().ok());
+  const uint64_t version = registry.version();
+
+  // Overwrite with a different model and move the mtime well past the old
+  // one, so the fingerprint changes even on coarse-timestamp filesystems.
+  const fs::path artifact = dir / "svm.model";
+  const auto registered_mtime = fs::last_write_time(artifact);
+  ASSERT_TRUE(publisher.Publish(b).ok());
+  fs::last_write_time(artifact, registered_mtime + std::chrono::seconds(10));
+
+  auto stale = registry.Resolve("svm");
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kUnavailable)
+      << stale.status().ToString();
+  EXPECT_EQ(registry.loaded_models(), 0u);
+  EXPECT_EQ(registry.version(), version);
+
+  ASSERT_TRUE(registry.Refresh().ok());
+  auto fresh = registry.Resolve("svm");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_GT(fresh->version, version);
+  EXPECT_EQ(ModelTag(*fresh->model), ModelTag(b));
+  EXPECT_NE(ModelTag(*fresh->model), ModelTag(a));
 }
 
 }  // namespace
