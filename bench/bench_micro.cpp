@@ -7,6 +7,7 @@
 #include "core/dataset_metrics.h"
 #include "core/hotspot.h"
 #include "core/parameter_calibration.h"
+#include "math/linear_model.h"
 #include "math/nnls.h"
 #include "minispark/engine.h"
 #include "workloads/workloads.h"
@@ -108,6 +109,28 @@ void BM_NnlsFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnlsFit)->Arg(9)->Arg(100);
+
+// Leave-one-out selection over the four time families: the refit cadence's
+// fitting cost, n folds of one NNLS each per family.
+void BM_SelectModelByCrossValidation(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(7);
+  std::vector<math::Observation> data;
+  for (int i = 0; i < n; ++i) {
+    const double e = rng.Uniform(1000, 50000);
+    const double f = rng.Uniform(100, 20000);
+    data.push_back({{e, f}, (3000.0 + 2e-4 * e * f) * rng.Jitter(0.05)});
+  }
+  for (auto _ : state) {
+    auto best = math::SelectModelByCrossValidation(
+        math::MakeTimeModelFamilies(), data);
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK(BM_SelectModelByCrossValidation)
+    ->Arg(150)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,6 +13,7 @@
 // >= 10x). Results are persisted to BENCH_service.json (the same flat-JSON
 // trajectory format as bench_cluster's BENCH_cluster.json).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,32 +211,42 @@ int main(int argc, char** argv) {
               most_schedules);
   (void)svc.Recommend(probe);  // Warm the cache entry.
 
-  constexpr int kProbeIters = 50000;
-  const auto warm_start = Clock::now();
-  for (int i = 0; i < kProbeIters; ++i) {
-    auto r = svc.Recommend(probe);
-    if (!r.ok() || !r->cache_hit) {
-      std::fprintf(stderr, "FAIL: warm probe missed the cache\n");
-      return 1;
+  // Both paths are timed in alternating rounds and each keeps its fastest
+  // round, so a scheduler hiccup during one path's timing cannot move the
+  // ratio across the 10x bar.
+  constexpr int kRounds = 7;
+  constexpr int kProbeIters = 20000;
+  constexpr int kMissIters = 1000;
+  double warm_us = std::numeric_limits<double>::infinity();
+  double miss_us = std::numeric_limits<double>::infinity();
+  int miss_key = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto warm_start = Clock::now();
+    for (int i = 0; i < kProbeIters; ++i) {
+      auto r = svc.Recommend(probe);
+      if (!r.ok() || !r->cache_hit) {
+        std::fprintf(stderr, "FAIL: warm probe missed the cache\n");
+        return 1;
+      }
     }
-  }
-  const double warm_us = 1e6 * SecondsSince(warm_start) / kProbeIters;
+    warm_us = std::min(warm_us, 1e6 * SecondsSince(warm_start) / kProbeIters);
 
-  // The uncached serving path (what a hit short-circuits): queue handoff,
-  // worker wakeup, model evaluation, cache insertion. Unique parameters per
-  // request guarantee a miss every time.
-  constexpr int kMissIters = 5000;
-  const auto miss_start = Clock::now();
-  for (int i = 0; i < kMissIters; ++i) {
-    auto req = probe;
-    req.params.examples += i + 1;  // Never-seen key -> forced miss.
-    auto r = svc.Recommend(req);
-    if (!r.ok() || r->cache_hit) {
-      std::fprintf(stderr, "FAIL: miss probe hit the cache\n");
-      return 1;
+    // The uncached serving path (what a hit short-circuits): queue handoff,
+    // worker wakeup, model evaluation, cache insertion. Unique parameters
+    // per request guarantee a miss every time.
+    const auto miss_start = Clock::now();
+    for (int i = 0; i < kMissIters; ++i) {
+      auto req = probe;
+      req.params.examples += ++miss_key;  // Never-seen key -> forced miss.
+      auto r = svc.Recommend(req);
+      if (!r.ok() || r->cache_hit) {
+        std::fprintf(stderr, "FAIL: miss probe hit the cache\n");
+        return 1;
+      }
     }
+    miss_us = std::min(miss_us, 1e6 * SecondsSince(miss_start) / kMissIters);
+    (void)svc.Recommend(probe);  // Re-warm in case the misses evicted it.
   }
-  const double miss_us = 1e6 * SecondsSince(miss_start) / kMissIters;
 
   // The bare model evaluation, outside the service (no queue, no cache).
   const auto eval_start = Clock::now();

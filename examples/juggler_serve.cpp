@@ -516,10 +516,11 @@ int main(int argc, char** argv) {
     server.Stop();
     const auto rpc = server.rpc_stats();
     std::printf("rpc stats: accepted %llu | frames %llu | pings %llu | "
-                "overload %llu | protocol errors %llu\n",
+                "fast path %llu | overload %llu | protocol errors %llu\n",
                 static_cast<unsigned long long>(rpc.accepted),
                 static_cast<unsigned long long>(rpc.frames),
                 static_cast<unsigned long long>(rpc.pings),
+                static_cast<unsigned long long>(rpc.fast_path),
                 static_cast<unsigned long long>(rpc.overload_rejected),
                 static_cast<unsigned long long>(rpc.protocol_errors));
     std::printf("registry: %zu/%zu model(s) resident | evictions %llu\n",

@@ -1,6 +1,5 @@
 #include "cluster/router.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <utility>
@@ -192,24 +191,8 @@ StatusOr<std::string> Router::ForwardRecommend(const std::string& route_key,
 
 void Router::RecordHotKey(const std::string& route_key,
                           const std::string& payload, size_t owner) {
-  // The table is a bounded popularity sample, not a log: when full, the
-  // coldest entry makes room.
-  constexpr size_t kMaxHotKeys = 512;
   MutexLock lock(hot_mu_);
-  auto it = hot_keys_.find(route_key);
-  if (it == hot_keys_.end()) {
-    if (hot_keys_.size() >= kMaxHotKeys) {
-      auto coldest = hot_keys_.begin();
-      for (auto c = hot_keys_.begin(); c != hot_keys_.end(); ++c) {
-        if (c->second.hits < coldest->second.hits) coldest = c;
-      }
-      hot_keys_.erase(coldest);
-    }
-    it = hot_keys_.emplace(route_key, HotEntry{}).first;
-    it->second.payload = payload;
-  }
-  it->second.owner = owner;
-  ++it->second.hits;
+  hot_keys_.Record(route_key, payload, owner);
 }
 
 void Router::MaybeSendWarmHint(const std::vector<size_t>& failed,
@@ -239,25 +222,18 @@ void Router::MaybeSendWarmHint(const std::vector<size_t>& failed,
 
   // Copy the candidate payloads out; the kWarm call runs with hot_mu_
   // released.
-  std::vector<std::pair<uint64_t, std::string>> hot;
+  std::vector<std::string> hot;
   {
     MutexLock lock(hot_mu_);
-    for (const auto& [key, entry] : hot_keys_) {
-      if (entry.owner < source.size() && source[entry.owner]) {
-        hot.emplace_back(entry.hits, entry.payload);
-      }
-    }
+    hot = hot_keys_.TopK(source, kWarmTopK);
   }
   if (hot.empty()) return;
-  std::sort(hot.begin(), hot.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (hot.size() > kWarmTopK) hot.resize(kWarmTopK);
 
   // Payloads are raw JSON documents; splice them into one array.
   std::string body = "[";
   for (size_t i = 0; i < hot.size(); ++i) {
     if (i > 0) body.push_back(',');
-    body.append(hot[i].second);
+    body.append(hot[i]);
   }
   body.push_back(']');
   auto reply = CallShard(target, rpc::FrameType::kWarm, body);

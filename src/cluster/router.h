@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,6 +13,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "cluster/hash_ring.h"
+#include "cluster/hot_key_table.h"
 #include "net/http.h"
 #include "net/http_server.h"
 #include "rpc/frame.h"
@@ -144,14 +144,6 @@ class Router {
     std::vector<std::unique_ptr<rpc::RpcClient>> pool GUARDED_BY(pool_mu);
   };
 
-  /// One recently served recommend question: enough to re-issue it as a
-  /// cache pre-warm on another shard.
-  struct HotEntry {
-    std::string payload;  ///< The single-recommend request JSON, verbatim.
-    uint64_t hits = 0;
-    size_t owner = 0;  ///< Shard index that last served it.
-  };
-
   /// One call against shard `index`: checkout (or dial) a pooled client,
   /// send, and either return the client to the pool (success) or drop it
   /// and mark the shard unhealthy (transport failure).
@@ -192,11 +184,13 @@ class Router {
   std::atomic<uint64_t> warm_hints_{0};
   std::atomic<uint64_t> warm_keys_{0};
 
+  static constexpr size_t kMaxHotKeys = 512;
+
   /// Lock class "cluster.Router.hot_keys" (rank cluster=14): guards only the
   /// bounded hot-key table; never held across an RPC (payloads are copied
   /// out, then the kWarm call runs unlocked).
   mutable Mutex hot_mu_ ACQUIRED_AFTER(lockdiag::kRpcOrder);
-  std::map<std::string, HotEntry> hot_keys_ GUARDED_BY(hot_mu_);
+  HotKeyTable hot_keys_ GUARDED_BY(hot_mu_) = HotKeyTable(kMaxHotKeys);
 };
 
 /// \brief The HTTP face of the cluster: the standalone server's API, with

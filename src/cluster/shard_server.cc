@@ -21,6 +21,13 @@ rpc::RpcFrame Reply(rpc::FrameType type, std::string payload) {
   return frame;
 }
 
+StatusOr<service::RecommendRequest> ParseRecommendPayload(
+    const std::string& payload) {
+  auto json = net::Json::Parse(payload);
+  if (!json.ok()) return json.status();
+  return net::ParseRecommendRequest(*json);
+}
+
 }  // namespace
 
 ShardServer::ShardServer(
@@ -30,8 +37,10 @@ ShardServer::ShardServer(
     : registry_(std::move(registry)),
       service_(std::move(service)),
       online_(options.online),
-      server_(options.rpc,
-              [this](const rpc::RpcFrame& request) { return Handle(request); }) {
+      server_(
+          options.rpc,
+          [this](const rpc::RpcFrame& request) { return Handle(request); },
+          [this](const rpc::RpcFrame& request) { return HandleFast(request); }) {
 }
 
 rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
@@ -53,10 +62,20 @@ rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
   }
 }
 
+std::optional<rpc::RpcFrame> ShardServer::HandleFast(
+    const rpc::RpcFrame& request) {
+  if (request.type != rpc::FrameType::kRecommend) return std::nullopt;
+  auto parsed = ParseRecommendPayload(request.payload);
+  if (!parsed.ok()) return ErrorFrame(parsed.status());  // No pool hop.
+  auto cached = service_->TryRecommendCached(*parsed);
+  if (!cached.has_value()) return std::nullopt;  // Cold key: full path.
+  if (!cached->ok()) return ErrorFrame(cached->status());
+  return Reply(rpc::FrameType::kRecommendReply,
+               net::ResponseJson(parsed->app, **cached).Dump());
+}
+
 rpc::RpcFrame ShardServer::HandleRecommend(const rpc::RpcFrame& request) {
-  auto json = net::Json::Parse(request.payload);
-  if (!json.ok()) return ErrorFrame(json.status());
-  auto parsed = net::ParseRecommendRequest(*json);
+  auto parsed = ParseRecommendPayload(request.payload);
   if (!parsed.ok()) return ErrorFrame(parsed.status());
   auto response = service_->Recommend(*parsed);
   if (!response.ok()) return ErrorFrame(response.status());

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -58,6 +59,12 @@ class ShardServer {
   /// Full dispatch of one request frame (handler-pool path). Public so tests
   /// can exercise the protocol without a socket.
   rpc::RpcFrame Handle(const rpc::RpcFrame& request);
+
+  /// Event-loop fast path: answers a kRecommend that needs no model
+  /// evaluation (warm cache hit, malformed request, unknown app) with the
+  /// same frame Handle() would return; nullopt for a cold key or any other
+  /// frame type, which then takes the handler-pool path.
+  std::optional<rpc::RpcFrame> HandleFast(const rpc::RpcFrame& request);
 
   /// Requests pre-computed from router warm hints since construction.
   uint64_t warms() const { return warms_.load(std::memory_order_relaxed); }

@@ -28,7 +28,7 @@ Status LinearModel::Fit(const std::vector<Observation>& data) {
   Matrix a(n, k);
   std::vector<double> b(n);
   for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < k; ++c) a(r, c) = basis_[c](data[r].params);
+    EvaluateBasis(data[r].params, a.row(r));
     b[r] = data[r].value;
   }
   JUGGLER_RETURN_IF_ERROR(NonNegativeLeastSquares(a, b, &coefficients_));
@@ -52,6 +52,11 @@ double LinearModel::Predict(const std::vector<double>& params) const {
   double y = 0.0;
   for (int c = 0; c < num_terms(); ++c) y += coefficients_[c] * basis_[c](params);
   return y;
+}
+
+void LinearModel::EvaluateBasis(const std::vector<double>& params,
+                                double* out) const {
+  for (int c = 0; c < num_terms(); ++c) out[c] = basis_[c](params);
 }
 
 std::string LinearModel::ToString() const {
@@ -155,31 +160,48 @@ StatusOr<LinearModel> SelectModelByCrossValidation(
   if (data.empty()) {
     return Status::InvalidArgument("SelectModelByCrossValidation: no data");
   }
+  const int n = static_cast<int>(data.size());
   double best_error = std::numeric_limits<double>::infinity();
   int best_index = -1;
+  std::vector<double> b(static_cast<size_t>(n - 1));
+  std::vector<double> coef;
 
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    LinearModel& candidate = candidates[ci];
+    const LinearModel& candidate = candidates[ci];
+    const int k = candidate.num_terms();
     // Need strictly more points than terms so every LOO fold is solvable.
-    if (static_cast<int>(data.size()) <= candidate.num_terms()) continue;
+    if (n <= k) continue;
+    Matrix full(n, k);
+    for (int r = 0; r < n; ++r) {
+      candidate.EvaluateBasis(data[static_cast<size_t>(r)].params, full.row(r));
+    }
+    // Fold `held` trains on rows 0..held-1, held+1..n-1 in that order. Start
+    // from fold 0 (rows 1..n-1); moving to fold `held` only changes training
+    // position held-1, from row `held` to row `held-1`.
+    Matrix a(n - 1, k);
+    for (int r = 1; r < n; ++r) {
+      for (int c = 0; c < k; ++c) a(r - 1, c) = full(r, c);
+      b[static_cast<size_t>(r - 1)] = data[static_cast<size_t>(r)].value;
+    }
     double error_sum = 0.0;
     int folds = 0;
     bool usable = true;
-    for (size_t held = 0; held < data.size(); ++held) {
-      std::vector<Observation> train;
-      train.reserve(data.size() - 1);
-      for (size_t i = 0; i < data.size(); ++i) {
-        if (i != held) train.push_back(data[i]);
+    for (int held = 0; held < n; ++held) {
+      if (held > 0) {
+        for (int c = 0; c < k; ++c) a(held - 1, c) = full(held - 1, c);
+        b[static_cast<size_t>(held - 1)] =
+            data[static_cast<size_t>(held - 1)].value;
       }
-      LinearModel fold = candidate;
-      if (!fold.Fit(train).ok()) {
+      if (!NonNegativeLeastSquares(a, b, &coef).ok()) {
         usable = false;
         break;
       }
-      const double actual = data[held].value;
+      const double actual = data[static_cast<size_t>(held)].value;
       if (actual != 0.0) {
-        error_sum +=
-            std::fabs(fold.Predict(data[held].params) - actual) / std::fabs(actual);
+        // Same summation order as LinearModel::Predict.
+        double predicted = 0.0;
+        for (int c = 0; c < k; ++c) predicted += coef[c] * full(held, c);
+        error_sum += std::fabs(predicted - actual) / std::fabs(actual);
         ++folds;
       }
     }
@@ -195,7 +217,7 @@ StatusOr<LinearModel> SelectModelByCrossValidation(
     return Status::NotFound(
         "SelectModelByCrossValidation: no candidate family could be fitted");
   }
-  LinearModel best = candidates[static_cast<size_t>(best_index)];
+  LinearModel best = std::move(candidates[static_cast<size_t>(best_index)]);
   JUGGLER_RETURN_IF_ERROR(best.Fit(data));
   return best;
 }

@@ -45,6 +45,9 @@ class LinearModel {
   /// Predicted value for a parameter vector. Requires fitted().
   double Predict(const std::vector<double>& params) const;
 
+  /// Writes basis_k(params) for every term k into out[0, num_terms()).
+  void EvaluateBasis(const std::vector<double>& params, double* out) const;
+
   /// Human-readable fitted form, e.g. "size = 1.2e-3*e*f + 4.0*e".
   std::string ToString() const;
 
@@ -84,6 +87,14 @@ double MeanRelativeError(const LinearModel& model,
 /// candidate family, hold out each observation in turn, fit on the rest,
 /// average the held-out relative errors; return the family with the least
 /// error refitted on all observations.
+///
+/// Each family's basis is evaluated once into an n x k design matrix; every
+/// fold solves NNLS on the other n-1 rows, in their original order, held in
+/// one matrix reused across folds. The values, their order and the held-out
+/// prediction's summation order are those of LinearModel::Fit and
+/// LinearModel::Predict on a copied training set, so coefficients, errors
+/// and the chosen family are bit-identical to fitting each fold from
+/// scratch (pinned by a differential test in linear_model_test).
 ///
 /// Returns NotFound if no candidate can be fitted.
 [[nodiscard]] StatusOr<LinearModel> SelectModelByCrossValidation(

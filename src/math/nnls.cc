@@ -13,7 +13,7 @@ void NormalEquations(const Matrix& a, const std::vector<double>& b,
                      const std::vector<int>& cols, Matrix* ata,
                      std::vector<double>* atb) {
   const int k = static_cast<int>(cols.size());
-  *ata = Matrix(k, k);
+  ata->Reset(k, k);
   atb->assign(k, 0.0);
   for (int i = 0; i < k; ++i) {
     for (int j = i; j < k; ++j) {
@@ -103,10 +103,14 @@ Status NonNegativeLeastSquares(const Matrix& a, const std::vector<double>& b,
   std::vector<bool> passive(n, false);
   std::vector<double> w(n, 0.0);
   const int max_outer = 3 * n + 30;
+  // Scratch reused by every iteration (each one overwrites it in full).
+  std::vector<double> resid(m);
+  std::vector<int> cols;
+  Matrix ata;
+  std::vector<double> atb, z;
 
   for (int outer = 0; outer < max_outer; ++outer) {
     // Gradient of 0.5*||ax-b||^2 at current x, negated.
-    std::vector<double> resid(m);
     for (int r = 0; r < m; ++r) {
       double s = b[r];
       for (int c = 0; c < n; ++c) s -= a(r, c) * (*x)[c];
@@ -128,12 +132,10 @@ Status NonNegativeLeastSquares(const Matrix& a, const std::vector<double>& b,
 
     // Inner loop: solve the unconstrained problem on P; clip negatives.
     for (int inner = 0; inner < max_outer; ++inner) {
-      std::vector<int> cols;
+      cols.clear();
       for (int c = 0; c < n; ++c) {
         if (passive[c]) cols.push_back(c);
       }
-      Matrix ata;
-      std::vector<double> atb, z;
       NormalEquations(a, b, cols, &ata, &atb);
       for (int i = 0; i < ata.rows(); ++i) ata(i, i) += 1e-12 * (ata(i, i) + 1.0);
       Status st = SolveLinearSystem(ata, atb, &z);

@@ -15,6 +15,13 @@ class Matrix {
   Matrix(int rows, int cols)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols, 0.0) {}
 
+  /// Reshapes to rows x cols, all zeros, reusing the storage when it fits.
+  void Reset(int rows, int cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(static_cast<size_t>(rows) * cols, 0.0);
+  }
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
@@ -22,6 +29,8 @@ class Matrix {
   double operator()(int r, int c) const {
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
+  /// Start of row r (its cols() values are contiguous).
+  double* row(int r) { return data_.data() + static_cast<size_t>(r) * cols_; }
 
  private:
   int rows_;

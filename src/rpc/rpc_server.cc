@@ -27,9 +27,11 @@ size_t ReadPauseThreshold(const FrameDecoder::Limits& limits) {
 
 }  // namespace
 
-RpcServer::RpcServer(const Options& options, Handler handler)
+RpcServer::RpcServer(const Options& options, Handler handler,
+                     FastHandler fast_handler)
     : options_(options),
       handler_(std::move(handler)),
+      fast_handler_(std::move(fast_handler)),
       mu_(lockdiag::RegisterLockClass("rpc.RpcServer.completions",
                                       lockdiag::kRankRpc)) {}
 
@@ -92,6 +94,7 @@ RpcServer::Stats RpcServer::GetStats() const {
   stats.active = active_.load(std::memory_order_relaxed);
   stats.frames = frames_.load(std::memory_order_relaxed);
   stats.pings = pings_.load(std::memory_order_relaxed);
+  stats.fast_path = fast_path_.load(std::memory_order_relaxed);
   stats.overload_rejected =
       overload_rejected_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
@@ -258,6 +261,14 @@ void RpcServer::PumpFrames(Connection* conn) {
       pong.payload = std::move(result.frame.payload);
       AppendFrame(pong, &conn->out);
       continue;  // Next pipelined frame, if buffered.
+    }
+    if (fast_handler_) {
+      if (std::optional<RpcFrame> fast = fast_handler_(result.frame)) {
+        fast_path_.fetch_add(1, std::memory_order_relaxed);
+        fast->request_id = result.frame.request_id;
+        AppendFrame(*fast, &conn->out);
+        continue;
+      }
     }
     DispatchToPool(conn, std::move(result.frame));
   }

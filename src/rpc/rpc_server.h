@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,8 +29,11 @@ namespace juggler::rpc {
 /// Protocol behavior:
 ///  - kPing is answered inline on the loop thread (health probes must not
 ///    queue behind model evaluations);
-///  - every other frame runs the Handler on the pool; the returned frame is
-///    sent with the request's id stamped in;
+///  - every other frame is first offered to the optional `FastHandler` on
+///    the loop thread (sub-millisecond work only: the shard answers warm
+///    cache hits and malformed requests there); a frame it declines runs the
+///    Handler on the pool. Either way the returned frame is sent with the
+///    request's id stamped in, and responses leave in request order;
 ///  - a full dispatch queue answers kError with `overload_error_payload`
 ///    immediately — bounded queues shed at the edge, never park unboundedly;
 ///  - a framing error sends one kError frame (request id 0: the broken
@@ -59,17 +63,24 @@ class RpcServer {
   /// The returned frame's request_id is overwritten with the request's.
   using Handler = std::function<RpcFrame(const RpcFrame&)>;
 
+  /// Optional fast path, run on the event-loop thread before dispatching.
+  /// Return a frame to answer inline, or nullopt to fall through to the
+  /// pool. Must not block. The returned request_id is overwritten too.
+  using FastHandler = std::function<std::optional<RpcFrame>(const RpcFrame&)>;
+
   struct Stats {
     uint64_t accepted = 0;           ///< Connections accepted.
     uint64_t active = 0;             ///< Currently open connections.
     uint64_t frames = 0;             ///< Complete frames parsed.
     uint64_t pings = 0;              ///< Answered inline on the loop thread.
+    uint64_t fast_path = 0;          ///< Answered inline by the FastHandler.
     uint64_t overload_rejected = 0;  ///< kError from a full dispatch queue.
     uint64_t protocol_errors = 0;    ///< Malformed frames (connection closed).
     uint64_t idle_closed = 0;        ///< Connections reaped by idle timeout.
   };
 
-  RpcServer(const Options& options, Handler handler);
+  RpcServer(const Options& options, Handler handler,
+            FastHandler fast_handler = nullptr);
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
@@ -123,6 +134,7 @@ class RpcServer {
 
   const Options options_;
   const Handler handler_;
+  const FastHandler fast_handler_;
 
   // Immutable after Start().
   int listen_fd_ = -1;
@@ -152,6 +164,7 @@ class RpcServer {
   std::atomic<uint64_t> active_{0};
   std::atomic<uint64_t> frames_{0};
   std::atomic<uint64_t> pings_{0};
+  std::atomic<uint64_t> fast_path_{0};
   std::atomic<uint64_t> overload_rejected_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> idle_closed_{0};

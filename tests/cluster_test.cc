@@ -16,12 +16,15 @@
 #include <gtest/gtest.h>
 
 #include "cluster/hash_ring.h"
+#include "cluster/hot_key_table.h"
 #include "cluster/router.h"
 #include "cluster/shard_server.h"
+#include "common/random.h"
 #include "core/juggler.h"
 #include "core/serialization.h"
 #include "net/http.h"
 #include "net/json.h"
+#include "rpc/rpc_client.h"
 #include "service/model_registry.h"
 #include "service/recommendation_service.h"
 #include "workloads/workloads.h"
@@ -114,6 +117,102 @@ TEST(HashRingTest, SingleNodeOwnsEverything) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(ring.Owner("key-" + std::to_string(i)), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// HotKeyTable
+// ---------------------------------------------------------------------------
+
+TEST(HotKeyTableTest, EvictsFewestHitsThenSmallestKey) {
+  HotKeyTable table(3);
+  table.Record("a", "pa", 0);
+  table.Record("a", "pa", 0);
+  table.Record("c", "pc", 0);
+  table.Record("b", "pb", 1);
+  ASSERT_EQ(table.size(), 3u);
+
+  table.Record("d", "pd", 1);  // b and c tie at 1 hit: b is smaller.
+  EXPECT_EQ(table.Find("b"), nullptr);
+  ASSERT_NE(table.Find("c"), nullptr);
+  table.Record("e", "pe", 1);  // c and d tie at 1 hit: c goes.
+  EXPECT_EQ(table.Find("c"), nullptr);
+  ASSERT_NE(table.Find("a"), nullptr);
+  EXPECT_EQ(table.Find("a")->hits, 2u);
+  EXPECT_EQ(table.size(), 3u);
+
+  // A hit keeps the first payload and takes the new owner.
+  table.Record("d", "other", 0);
+  const HotKeyTable::Entry* d = table.Find("d");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->payload, "pd");
+  EXPECT_EQ(d->owner, 0u);
+  EXPECT_EQ(d->hits, 2u);
+}
+
+TEST(HotKeyTableTest, MatchesALinearScanOverEveryEntry) {
+  // Reference: the scan the index replaces — the first entry in key order
+  // with the fewest hits is evicted.
+  struct Ref {
+    std::string payload;
+    uint64_t hits = 0;
+    size_t owner = 0;
+  };
+  constexpr size_t kCapacity = 32;
+  std::map<std::string, Ref> reference;
+  HotKeyTable table(kCapacity);
+  Rng rng(17);
+  for (int step = 0; step < 20'000; ++step) {
+    // Skewed popularity over 300 keys, so hot keys survive and cold churn.
+    const uint64_t u = rng.UniformInt(uint64_t{300});
+    const std::string key = "k" + std::to_string(u * u / 300);
+    const size_t owner = rng.UniformInt(uint64_t{3});
+    auto it = reference.find(key);
+    if (it == reference.end()) {
+      if (reference.size() >= kCapacity) {
+        auto coldest = reference.begin();
+        for (auto c = reference.begin(); c != reference.end(); ++c) {
+          if (c->second.hits < coldest->second.hits) coldest = c;
+        }
+        reference.erase(coldest);
+      }
+      it = reference.emplace(key, Ref{"p" + key, 0, 0}).first;
+    }
+    it->second.owner = owner;
+    ++it->second.hits;
+    table.Record(key, "p" + key, owner);
+
+    ASSERT_EQ(table.size(), reference.size()) << "step " << step;
+    for (const auto& [ref_key, ref] : reference) {
+      const HotKeyTable::Entry* entry = table.Find(ref_key);
+      ASSERT_NE(entry, nullptr) << "step " << step << " lost " << ref_key;
+      EXPECT_EQ(entry->hits, ref.hits);
+      EXPECT_EQ(entry->owner, ref.owner);
+      EXPECT_EQ(entry->payload, ref.payload);
+    }
+  }
+}
+
+TEST(HotKeyTableTest, TopKFiltersByOwnerHottestFirst) {
+  HotKeyTable table(16);
+  const auto record = [&](const std::string& key, size_t owner, int hits) {
+    for (int i = 0; i < hits; ++i) table.Record(key, "p" + key, owner);
+  };
+  record("a", 0, 5);
+  record("b", 1, 9);
+  record("c", 0, 7);
+  record("d", 2, 8);
+  record("e", 0, 7);
+  record("f", 1, 1);
+
+  // Shards 0 and 1: hottest first, equal hits by larger key first.
+  EXPECT_EQ(table.TopK({true, true, false}, 10),
+            (std::vector<std::string>{"pb", "pe", "pc", "pa", "pf"}));
+  EXPECT_EQ(table.TopK({true, true, false}, 3),
+            (std::vector<std::string>{"pb", "pe", "pc"}));
+  EXPECT_EQ(table.TopK({false, false, true}, 8),
+            (std::vector<std::string>{"pd"}));
+  EXPECT_TRUE(table.TopK({}, 8).empty()) << "no owner marked";
+  EXPECT_TRUE(table.TopK({true, true, true}, 0).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -512,6 +611,54 @@ TEST(ShardServerTest, HandlesEveryFrameTypeOfTheProtocol) {
   unsupported.type = rpc::FrameType::kPong;  // Not a request type.
   const auto unsupported_reply = shard.Handle(unsupported);
   EXPECT_EQ(unsupported_reply.type, rpc::FrameType::kError);
+}
+
+TEST(ShardServerTest, WarmReplyOverTheSocketIsByteIdenticalToHandle) {
+  ClusterFixture f("fast_path", /*shard_count=*/1);
+  ShardServer& shard = *f.shards[0]->server;
+  rpc::RpcClient::Options copts;
+  copts.port = shard.port();
+  rpc::RpcClient client(copts);
+
+  // A cold key declines the loop fast path and is evaluated on the pool.
+  auto cold = client.Call(rpc::FrameType::kRecommend, kSvmBody);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->type, rpc::FrameType::kRecommendReply);
+  EXPECT_EQ(shard.rpc_stats().fast_path, 0u);
+
+  // Now warm: the loop thread answers, with exactly Handle()'s bytes.
+  rpc::RpcFrame recommend;
+  recommend.type = rpc::FrameType::kRecommend;
+  recommend.payload = kSvmBody;
+  const rpc::RpcFrame expected = shard.Handle(recommend);
+  ASSERT_EQ(expected.type, rpc::FrameType::kRecommendReply);
+  auto warm = client.Call(rpc::FrameType::kRecommend, kSvmBody);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->type, expected.type);
+  EXPECT_EQ(warm->payload, expected.payload);
+  EXPECT_EQ(shard.rpc_stats().fast_path, 1u);
+
+  // Malformed JSON and an unknown app are answered inline too, with the
+  // same kError bytes the pool path produces.
+  for (const char* payload :
+       {"not json", R"({"app":"nope","params":{"examples":1,"features":1}})"}) {
+    rpc::RpcFrame bad;
+    bad.type = rpc::FrameType::kRecommend;
+    bad.payload = payload;
+    const rpc::RpcFrame bad_expected = shard.Handle(bad);
+    ASSERT_EQ(bad_expected.type, rpc::FrameType::kError);
+    auto bad_reply = client.Call(rpc::FrameType::kRecommend, payload);
+    ASSERT_TRUE(bad_reply.ok()) << bad_reply.status().ToString();
+    EXPECT_EQ(bad_reply->type, bad_expected.type);
+    EXPECT_EQ(bad_reply->payload, bad_expected.payload) << payload;
+  }
+  EXPECT_EQ(shard.rpc_stats().fast_path, 3u);
+
+  // Other frame types never take the fast path.
+  auto apps = client.Call(rpc::FrameType::kApps, "");
+  ASSERT_TRUE(apps.ok()) << apps.status().ToString();
+  EXPECT_EQ(apps->type, rpc::FrameType::kAppsReply);
+  EXPECT_EQ(shard.rpc_stats().fast_path, 3u);
 }
 
 }  // namespace

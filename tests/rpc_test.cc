@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,6 +333,8 @@ class RawClient {
     }
   }
 
+  int fd() const { return fd_; }
+
   /// Reads until EOF; returns everything the server sent.
   std::string ReadToEof() {
     std::string out;
@@ -444,6 +447,166 @@ TEST_P(RpcLoopbackTest, ServerStopUnblocksClients) {
   // transport error — it must not hang.
   (void)client.Call(FrameType::kRecommend, "during-shutdown");
   stopper.join();
+}
+
+// ---------------------------------------------------------------------------
+// Loop-thread fast path
+// ---------------------------------------------------------------------------
+
+/// Answers payloads starting with "fast:" inline; declines everything else.
+RpcServer::FastHandler FastPrefixHandler() {
+  return [](const RpcFrame& request) -> std::optional<RpcFrame> {
+    if (request.payload.rfind("fast:", 0) != 0) return std::nullopt;
+    RpcFrame reply;
+    reply.type = FrameType::kRecommendReply;
+    reply.payload = "inline:" + request.payload;
+    return reply;
+  };
+}
+
+/// Reads exactly `count` frames from a raw connection.
+std::vector<RpcFrame> ReadFrames(int fd, size_t count) {
+  std::vector<RpcFrame> frames;
+  FrameDecoder decoder;
+  char chunk[4096];
+  while (frames.size() < count) {
+    const auto result = decoder.Next();
+    if (result.state == FrameDecoder::State::kReady) {
+      frames.push_back(result.frame);
+      continue;
+    }
+    EXPECT_EQ(result.state, FrameDecoder::State::kNeedMore);
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    decoder.Append(chunk, static_cast<size_t>(n));
+  }
+  return frames;
+}
+
+TEST_P(RpcLoopbackTest, FastAnswerArrivesWhileEveryHandlerIsBlocked) {
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  RpcServer server(
+      BaseOptions(),
+      [&](const RpcFrame& request) {
+        entered.fetch_add(1);
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        RpcFrame reply;
+        reply.type = FrameType::kRecommendReply;
+        reply.payload = "pool:" + request.payload;
+        return reply;
+      },
+      FastPrefixHandler());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Occupy both handler threads (BaseOptions: 2) with slow calls.
+  std::vector<std::thread> slow;
+  for (int i = 0; i < 2; ++i) {
+    slow.emplace_back([&, i] {
+      RpcClient client(ClientOptions(server.port()));
+      auto reply = client.Call(FrameType::kRecommend, "slow" + std::to_string(i));
+      EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (entered.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(entered.load(), 2) << "both handler threads must be blocked";
+
+  RpcClient fast(ClientOptions(server.port()));
+  auto reply = fast.Call(FrameType::kRecommend, "fast:hit");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, FrameType::kRecommendReply);
+  EXPECT_EQ(reply->payload, "inline:fast:hit");
+  EXPECT_EQ(server.GetStats().fast_path, 1u);
+
+  release.store(true);
+  for (std::thread& t : slow) t.join();
+  EXPECT_EQ(entered.load(), 2) << "the fast frame never reached the pool";
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, DeclinedFastPathFallsThroughToThePool) {
+  std::atomic<int> fast_calls{0};
+  RpcServer server(BaseOptions(), EchoHandler(),
+                   [&](const RpcFrame&) -> std::optional<RpcFrame> {
+                     fast_calls.fetch_add(1);
+                     return std::nullopt;
+                   });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcClient client(ClientOptions(server.port()));
+  auto reply = client.Call(FrameType::kRecommend, "cold");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->payload, "echo:cold");
+  EXPECT_EQ(fast_calls.load(), 1);
+  EXPECT_EQ(server.GetStats().fast_path, 0u);
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, PipelinedFastAndPoolFramesReturnInOrder) {
+  RpcServer server(
+      BaseOptions(),
+      [](const RpcFrame& request) {
+        // Slow enough that a later inline answer would overtake it if the
+        // loop did not hold pipelined frames behind the in-flight one.
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        RpcFrame reply;
+        reply.type = FrameType::kRecommendReply;
+        reply.payload = "pool:" + request.payload;
+        return reply;
+      },
+      FastPrefixHandler());
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient client(server.port());
+  std::string bytes;
+  AppendFrame(MakeFrame(FrameType::kRecommend, 11, "fast:a"), &bytes);
+  AppendFrame(MakeFrame(FrameType::kRecommend, 12, "cold"), &bytes);
+  AppendFrame(MakeFrame(FrameType::kRecommend, 13, "fast:b"), &bytes);
+  client.Send(bytes);
+
+  const std::vector<RpcFrame> replies = ReadFrames(client.fd(), 3);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].request_id, 11u);
+  EXPECT_EQ(replies[0].payload, "inline:fast:a");
+  EXPECT_EQ(replies[1].request_id, 12u);
+  EXPECT_EQ(replies[1].payload, "pool:cold");
+  EXPECT_EQ(replies[2].request_id, 13u);
+  EXPECT_EQ(replies[2].payload, "inline:fast:b");
+  const auto stats = server.GetStats();
+  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.fast_path, 2u);
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, PingStaysInlineAheadOfTheFastHandler) {
+  std::atomic<int> fast_calls{0};
+  std::atomic<int> handler_calls{0};
+  RpcServer server(
+      BaseOptions(),
+      [&](const RpcFrame&) {
+        handler_calls.fetch_add(1);
+        return RpcFrame{};
+      },
+      [&](const RpcFrame&) -> std::optional<RpcFrame> {
+        fast_calls.fetch_add(1);
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcClient client(ClientOptions(server.port()));
+  ASSERT_TRUE(client.Ping().ok());
+  EXPECT_EQ(fast_calls.load(), 0);
+  EXPECT_EQ(handler_calls.load(), 0);
+  const auto stats = server.GetStats();
+  EXPECT_EQ(stats.pings, 1u);
+  EXPECT_EQ(stats.fast_path, 0u);
+  server.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RpcLoopbackTest, ::testing::Bool(),
