@@ -590,38 +590,7 @@ std::string RouterHttpServer::MetricsText() const {
   net::AppendSample(&out, "juggler_router_healthy_shards", "", "",
                     static_cast<double>(router_->healthy_shards()));
 
-  net::AppendHeader(&out, "juggler_http_connections_accepted_total",
-                    "counter", "TCP connections accepted.");
-  net::AppendSample(&out, "juggler_http_connections_accepted_total", "", "",
-                    static_cast<double>(http.accepted));
-  net::AppendHeader(&out, "juggler_http_connections_active", "gauge",
-                    "TCP connections currently open.");
-  net::AppendSample(&out, "juggler_http_connections_active", "", "",
-                    static_cast<double>(http.active));
-  net::AppendHeader(&out, "juggler_http_requests_total", "counter",
-                    "HTTP requests parsed.");
-  net::AppendSample(&out, "juggler_http_requests_total", "", "",
-                    static_cast<double>(http.requests));
-  net::AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",
-                    "HTTP requests answered 503 by the dispatch-queue "
-                    "guard.");
-  net::AppendSample(&out, "juggler_http_overload_rejected_total", "", "",
-                    static_cast<double>(http.overload_rejected));
-  net::AppendHeader(&out, "juggler_http_parse_errors_total", "counter",
-                    "HTTP protocol errors (400/413/501).");
-  net::AppendSample(&out, "juggler_http_parse_errors_total", "", "",
-                    static_cast<double>(http.parse_errors));
-  net::AppendHeader(&out, "juggler_http_slow_read_closed_total", "counter",
-                    "Connections answered 408 and closed for stalling "
-                    "mid-request (header-read deadline).");
-  net::AppendSample(&out, "juggler_http_slow_read_closed_total", "", "",
-                    static_cast<double>(http.slow_read_closed));
-  net::AppendHeader(&out, "juggler_http_slow_write_closed_total", "counter",
-                    "Connections closed for not draining the response "
-                    "(write deadline).");
-  net::AppendSample(&out, "juggler_http_slow_write_closed_total", "", "",
-                    static_cast<double>(http.slow_write_closed));
-
+  net::AppendHttpServerMetrics(http, &out);
   online::AppendOnlineMetrics(&out);
   net::AppendLockMetrics(&out);
   return out;

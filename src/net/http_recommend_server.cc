@@ -321,44 +321,7 @@ std::string HttpRecommendServer::MetricsText() const {
                  static_cast<double>(count));
   }
 
-  AppendHeader(&out, "juggler_http_connections_accepted_total", "counter",
-               "TCP connections accepted.");
-  AppendSample(&out, "juggler_http_connections_accepted_total", "", "",
-               static_cast<double>(http.accepted));
-  AppendHeader(&out, "juggler_http_connections_active", "gauge",
-               "TCP connections currently open.");
-  AppendSample(&out, "juggler_http_connections_active", "", "",
-               static_cast<double>(http.active));
-  AppendHeader(&out, "juggler_http_requests_total", "counter",
-               "HTTP requests parsed.");
-  AppendSample(&out, "juggler_http_requests_total", "", "",
-               static_cast<double>(http.requests));
-  AppendHeader(&out, "juggler_http_fast_path_total", "counter",
-               "HTTP requests answered inline on the event loop.");
-  AppendSample(&out, "juggler_http_fast_path_total", "", "",
-               static_cast<double>(http.fast_path));
-  AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",
-               "HTTP requests answered 503 by the dispatch-queue guard.");
-  AppendSample(&out, "juggler_http_overload_rejected_total", "", "",
-               static_cast<double>(http.overload_rejected));
-  AppendHeader(&out, "juggler_http_parse_errors_total", "counter",
-               "HTTP protocol errors (400/413/501).");
-  AppendSample(&out, "juggler_http_parse_errors_total", "", "",
-               static_cast<double>(http.parse_errors));
-  AppendHeader(&out, "juggler_http_idle_closed_total", "counter",
-               "Connections closed by the idle sweeper.");
-  AppendSample(&out, "juggler_http_idle_closed_total", "", "",
-               static_cast<double>(http.idle_closed));
-  AppendHeader(&out, "juggler_http_slow_read_closed_total", "counter",
-               "Connections answered 408 for stalling mid-request "
-               "(header-read deadline).");
-  AppendSample(&out, "juggler_http_slow_read_closed_total", "", "",
-               static_cast<double>(http.slow_read_closed));
-  AppendHeader(&out, "juggler_http_slow_write_closed_total", "counter",
-               "Connections closed for not draining the response "
-               "(write deadline).");
-  AppendSample(&out, "juggler_http_slow_write_closed_total", "", "",
-               static_cast<double>(http.slow_write_closed));
+  AppendHttpServerMetrics(http, &out);
 
   AppendHeader(&out, "juggler_ready", "gauge",
                "Readiness as served by /readyz: 1 when accepting work, 0 "

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/juggler.h"
 #include "core/serialization.h"
 #include "net/http.h"
+#include "net/http_recommend_server.h"
 #include "net/json.h"
 #include "rpc/rpc_client.h"
 #include "service/model_registry.h"
@@ -447,6 +449,33 @@ TEST(RouterTest, AppsAndReloadAndMetricsRoutes) {
 
   const auto missing = f.http->Handle(MakeRequest("GET", "/nope"));
   EXPECT_EQ(missing.status, 404);
+}
+
+/// Names of the `juggler_http_*` samples in a Prometheus exposition.
+std::set<std::string> HttpSeriesNames(const std::string& metrics) {
+  std::set<std::string> names;
+  std::istringstream lines(metrics);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("juggler_http_", 0) == 0) {
+      names.insert(line.substr(0, line.find_first_of(" {")));
+    }
+  }
+  return names;
+}
+
+TEST(RouterTest, HttpSeriesMatchTheStandaloneServer) {
+  ClusterFixture f("http_series");
+  net::HttpRecommendServer standalone(f.shards[0]->registry,
+                                      f.shards[0]->service,
+                                      net::HttpRecommendServer::Options{});
+  const std::set<std::string> router_names =
+      HttpSeriesNames(f.http->MetricsText());
+  const std::set<std::string> standalone_names =
+      HttpSeriesNames(standalone.MetricsText());
+  EXPECT_EQ(router_names, standalone_names);
+  EXPECT_EQ(router_names.count("juggler_http_fast_path_total"), 1u);
+  EXPECT_EQ(router_names.count("juggler_http_idle_closed_total"), 1u);
+  EXPECT_EQ(router_names.count("juggler_http_requests_total"), 1u);
 }
 
 // ---------------------------------------------------------------------------

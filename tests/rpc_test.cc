@@ -263,7 +263,7 @@ TEST_P(RpcLoopbackTest, CallRoundTripsAndMatchesRequestIds) {
   }
   const auto stats = server.GetStats();
   EXPECT_EQ(stats.accepted, 1u) << "one client, one connection";
-  EXPECT_EQ(stats.frames, 5u);
+  EXPECT_EQ(stats.requests, 5u);
   server.Stop();
 }
 
@@ -373,7 +373,7 @@ TEST_P(RpcLoopbackTest, MalformedStreamGetsErrorFrameAndClose) {
   EXPECT_EQ(decoder.buffered_bytes(), 0u) << "nothing after the error frame";
 
   ASSERT_TRUE(healthy.Ping().ok()) << "healthy connection must be unaffected";
-  EXPECT_GE(server.GetStats().protocol_errors, 1u);
+  EXPECT_GE(server.GetStats().parse_errors, 1u);
   server.Stop();
 }
 
@@ -579,7 +579,7 @@ TEST_P(RpcLoopbackTest, PipelinedFastAndPoolFramesReturnInOrder) {
   EXPECT_EQ(replies[2].request_id, 13u);
   EXPECT_EQ(replies[2].payload, "inline:fast:b");
   const auto stats = server.GetStats();
-  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.fast_path, 2u);
   server.Stop();
 }
@@ -606,6 +606,139 @@ TEST_P(RpcLoopbackTest, PingStaysInlineAheadOfTheFastHandler) {
   const auto stats = server.GetStats();
   EXPECT_EQ(stats.pings, 1u);
   EXPECT_EQ(stats.fast_path, 0u);
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Slow-peer, overload and idle guards (the HTTP edge's, on the shard port)
+// ---------------------------------------------------------------------------
+
+/// Polls `done` for up to `seconds`; the loop thread updates counters a
+/// moment after the peer sees the effect.
+template <typename Predicate>
+bool WaitFor(Predicate done, int seconds = 10) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST_P(RpcLoopbackTest, StalledPartialFrameGetsErrorFrameAndClose) {
+  RpcServer::Options options = BaseOptions();
+  options.header_read_timeout_ms = 100;
+  RpcServer server(options, EchoHandler());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Half a header, then silence: the idle sweep alone would keep this
+  // connection (bytes did arrive); the read deadline must not.
+  RawClient slow(server.port());
+  const std::string wire =
+      EncodeFrame(MakeFrame(FrameType::kRecommend, 7, "x"));
+  slow.Send(wire.substr(0, kFrameHeaderBytes / 2));
+  const std::string response = slow.ReadToEof();
+
+  FrameDecoder decoder;
+  decoder.Append(response.data(), response.size());
+  const auto result = decoder.Next();
+  ASSERT_EQ(result.state, FrameDecoder::State::kReady);
+  EXPECT_EQ(result.frame.type, FrameType::kError);
+  EXPECT_EQ(result.frame.request_id, 0u)
+      << "a broken stream no longer identifies a request";
+  EXPECT_EQ(decoder.buffered_bytes(), 0u) << "nothing after the error frame";
+  EXPECT_TRUE(WaitFor([&] { return server.GetStats().slow_read_closed > 0; }));
+  EXPECT_EQ(server.GetStats().slow_read_closed, 1u);
+
+  // A complete call on a fresh connection is unaffected.
+  RpcClient fine(ClientOptions(server.port()));
+  auto reply = fine.Call(FrameType::kRecommend, "ok");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->payload, "echo:ok");
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, PeerNotDrainingRepliesIsClosed) {
+  RpcServer::Options options = BaseOptions();
+  options.write_timeout_ms = 150;
+  RpcServer server(options, [](const RpcFrame&) {
+    // Far more than the kernel socket buffers absorb, so the server's write
+    // buffer stays non-empty while the peer refuses to read.
+    RpcFrame reply;
+    reply.type = FrameType::kRecommendReply;
+    reply.payload = std::string(32 << 20, 'x');
+    return reply;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient stalled(server.port());
+  stalled.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 1, "big")));
+  // Never read. The write deadline must reap the connection instead of
+  // letting the reply bytes sit queued forever.
+  EXPECT_TRUE(
+      WaitFor([&] { return server.GetStats().slow_write_closed > 0; }));
+  EXPECT_EQ(server.GetStats().slow_write_closed, 1u);
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, FullDispatchQueueAnswersResourceExhaustedWithId) {
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  RpcServer::Options options = BaseOptions();
+  options.num_handler_threads = 1;
+  options.dispatch_queue_capacity = 1;
+  RpcServer server(options, [&](const RpcFrame& request) {
+    entered.fetch_add(1);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    RpcFrame reply;
+    reply.type = FrameType::kRecommendReply;
+    reply.payload = "pool:" + request.payload;
+    return reply;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // The first frame occupies the single handler thread...
+  RawClient busy(server.port());
+  busy.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 1, "busy")));
+  ASSERT_TRUE(WaitFor([&] { return entered.load() == 1; }));
+  // ...the second parks in the one queue slot...
+  RawClient queued(server.port());
+  queued.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 2, "queued")));
+  ASSERT_TRUE(WaitFor([&] { return server.GetStats().requests >= 2; }));
+  // ...and the third is shed at the edge, immediately, with its own id.
+  RawClient shed(server.port());
+  shed.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 42, "shed")));
+  const std::vector<RpcFrame> rejection = ReadFrames(shed.fd(), 1);
+  ASSERT_EQ(rejection.size(), 1u);
+  EXPECT_EQ(rejection[0].type, FrameType::kError);
+  EXPECT_EQ(rejection[0].request_id, 42u);
+  EXPECT_NE(rejection[0].payload.find("RESOURCE_EXHAUSTED"), std::string::npos)
+      << rejection[0].payload;
+  EXPECT_EQ(server.GetStats().overload_rejected, 1u);
+
+  release.store(true);
+  const std::vector<RpcFrame> first = ReadFrames(busy.fd(), 1);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].payload, "pool:busy");
+  const std::vector<RpcFrame> second = ReadFrames(queued.fd(), 1);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].payload, "pool:queued");
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, IdleConnectionsAreSweptAndCounted) {
+  RpcServer::Options options = BaseOptions();
+  options.idle_timeout_ms = 100;
+  RpcServer server(options, EchoHandler());
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient idle(server.port());
+  EXPECT_EQ(idle.ReadToEof(), "") << "sweeper closes the silent connection";
+  EXPECT_TRUE(WaitFor([&] { return server.GetStats().active == 0; }));
+  EXPECT_EQ(server.GetStats().idle_closed, 1u);
   server.Stop();
 }
 
