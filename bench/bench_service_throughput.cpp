@@ -10,8 +10,9 @@
 // workloads are trained into a temporary registry directory first (small
 // training grids; the bench measures serving, not training). Also reports
 // the warm-cache-hit vs. uncached-model-evaluation speedup (acceptance:
-// >= 10x). Results are persisted to BENCH_service.json (the same flat-JSON
-// trajectory format as bench_cluster's BENCH_cluster.json).
+// >= 10x). Results are persisted to [out-json], by default BENCH_service.json
+// next to the binary (the same flat-JSON trajectory format as bench_cluster's
+// BENCH_cluster.json).
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -98,6 +100,14 @@ std::vector<service::RecommendRequest> BuildRequestPool() {
   return pool;
 }
 
+/// The directory holding this binary: the default output goes there, so a
+/// run from a source checkout leaves no file behind in it.
+fs::path BinaryDir(const char* argv0) {
+  std::error_code error;
+  const fs::path self = fs::read_symlink("/proc/self/exe", error);
+  return (error ? fs::absolute(argv0) : self).parent_path();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,7 +117,7 @@ int main(int argc, char** argv) {
       argc > 3 ? fs::path(argv[3])
                : fs::temp_directory_path() / "juggler_bench_registry";
   const fs::path output_json =
-      argc > 4 ? fs::path(argv[4]) : fs::path("BENCH_service.json");
+      argc > 4 ? fs::path(argv[4]) : BinaryDir(argv[0]) / "BENCH_service.json";
   if (clients <= 0 || requests_per_client <= 0) {
     std::fprintf(
         stderr,

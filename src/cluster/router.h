@@ -3,21 +3,22 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "cluster/hash_ring.h"
 #include "cluster/hot_key_table.h"
 #include "net/http.h"
 #include "net/http_server.h"
+#include "net/reactor.h"
 #include "rpc/frame.h"
-#include "rpc/rpc_client.h"
+#include "rpc/rpc_channel.h"
 #include "service/metrics.h"
 
 namespace juggler::cluster {
@@ -33,30 +34,44 @@ namespace juggler::cluster {
 ///  - a background prober pings every shard on a fixed cadence and flips a
 ///    per-shard healthy bit; routing prefers healthy shards;
 ///  - a transport failure mid-request (dial, timeout, peer close, framing)
-///    marks the shard unhealthy and reroutes the request to the next shard
-///    in the key's preference order — the client sees one slower request,
-///    not an error (the reroute counter records it);
+///    closes that connection, marks the shard unhealthy and reroutes the
+///    request — and every call waiting for a connection to that shard — to
+///    the next shard in its preference order; the client sees one slower
+///    request, not an error (the reroute counter records it);
 ///  - an application-level kError reply is returned as-is, never rerouted:
 ///    the shard answered, the request itself was bad;
 ///  - only when every attempted shard fails transport-wise does the caller
 ///    get an error (503-shaped: the condition is transient).
+///
+/// Threading: forwarding runs on one event loop (`loop()`, started by
+/// Start()). Each shard has up to `max_clients_per_shard` non-blocking JRPC
+/// connections (rpc::RpcChannel) with one call in flight each; a request is
+/// a small state machine driven by their callbacks, and the loop tick
+/// enforces the connect and call deadlines. RouterHttpServer serves on the
+/// same loop, so a routed single recommend or observe crosses no thread
+/// inside the router. The blocking API posts to the loop and waits; the
+/// prober pings from its own thread over fresh connections.
 class Router {
  public:
   struct Options {
     /// Backend addresses, "host:port" each. Order defines shard indices.
     std::vector<std::string> shards;
     size_t virtual_nodes = 64;
+    /// Deadline of one shard call (send + wait + receive), enforced by the
+    /// router loop's tick. Must cover a cold model evaluation on the shard.
     int rpc_timeout_ms = 5'000;
+    /// Deadline of one dial (the loop's non-blocking connect) and of a probe.
     int connect_timeout_ms = 1'000;
     /// Distinct shards tried per request (owner + failovers).
     size_t max_attempts = 3;
     int probe_interval_ms = 250;
-    /// Idle RpcClients kept per shard for reuse.
+    /// Non-blocking JRPC connections per shard on the router loop, one call
+    /// in flight each; further calls for the shard wait for one to free up.
     size_t max_clients_per_shard = 8;
     rpc::FrameDecoder::Limits limits;
   };
 
-  /// Validates addresses. Start() launches the prober.
+  /// Validates addresses. Start() launches the loop and the prober.
   static StatusOr<std::unique_ptr<Router>> Create(const Options& options);
 
   /// Prefer Create(): this constructor skips address validation (shards_
@@ -69,7 +84,13 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   [[nodiscard]] Status Start();
+  /// Fails the calls still pending (kUnavailable), closes every shard
+  /// connection and joins the loop and the prober.
   void Stop();
+
+  // Blocking API: callable from any thread but the router loop. Each call
+  // is posted to the loop and runs there as Forward() does; the caller
+  // waits for the answer. FailedPrecondition when the router is not started.
 
   /// Routes one single-recommend request (JSON payload) by `route_key`.
   /// Returns the shard's reply payload verbatim, or the reconstructed
@@ -96,6 +117,24 @@ class Router {
   };
   std::vector<BroadcastResult> Broadcast(rpc::FrameType type,
                                          const std::string& payload);
+
+  /// Receives a routed call's result on the router loop.
+  using Done = std::function<void(StatusOr<std::string>)>;
+
+  /// No bound on calls waiting for a shard connection (blocking callers are
+  /// bounded by their own threads).
+  static constexpr size_t kNoWaitBound = static_cast<size_t>(-1);
+
+  /// Loop thread only: routes one kRecommend or kObserve by `route_key`,
+  /// exactly as ForwardRecommend/ForwardObserve do, and hands the result to
+  /// `done` (on the loop, after this returns). When every connection of the
+  /// chosen shard is busy the call waits; with `max_waiting` calls already
+  /// waiting router-wide it fails at once with ResourceExhausted instead.
+  void Forward(const std::string& route_key, rpc::FrameType type,
+               std::string payload, size_t max_waiting, Done done);
+
+  /// The event loop the router forwards on; RouterHttpServer serves there.
+  const std::shared_ptr<net::Reactor>& loop() const { return loop_; }
 
   /// Point-in-time per-shard counters for /metrics.
   struct ShardStats {
@@ -125,8 +164,10 @@ class Router {
   const HashRing& ring() const { return ring_; }
 
  private:
+  struct Call;
+  using CallPtr = std::shared_ptr<Call>;
+
   struct Shard {
-    Shard();
     std::string address;
     std::string host;
     uint16_t port = 0;
@@ -134,44 +175,55 @@ class Router {
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
     service::LatencyHistogram latency;
+    // Loop-thread state.
+    /// Connection slots (max_clients_per_shard); closed ones dial on use.
+    std::vector<std::unique_ptr<rpc::RpcChannel>> channels;
+    std::deque<CallPtr> waiting;  ///< Calls waiting for a free channel.
     /// steady_clock ms of the last warm hint sourced from this shard's keys
     /// (cooldown so one failover burst sends one hint, not one per request).
-    std::atomic<int64_t> last_warm_ms{-1};
-    /// Lock class "cluster.Router.shard_pool" (rank cluster=14): guards only
-    /// the checkout/return vector. RpcClient Dial/Call/close all happen with
-    /// the lock released (the `blocking-under-lock` lint rule enforces this).
-    Mutex pool_mu ACQUIRED_AFTER(lockdiag::kRpcOrder);
-    std::vector<std::unique_ptr<rpc::RpcClient>> pool GUARDED_BY(pool_mu);
+    int64_t last_warm_ms = -1;
   };
 
-  /// One call against shard `index`: checkout (or dial) a pooled client,
-  /// send, and either return the client to the pool (success) or drop it
-  /// and mark the shard unhealthy (transport failure).
-  StatusOr<rpc::RpcFrame> CallShard(size_t index, rpc::FrameType type,
-                                    const std::string& payload);
+  static CallPtr NewCall(rpc::FrameType type, std::string payload, Done done);
 
-  /// The shared preference-order forwarding loop behind ForwardRecommend
-  /// and ForwardObserve.
-  StatusOr<std::string> ForwardByKey(const std::string& route_key,
-                                     rpc::FrameType type,
-                                     rpc::FrameType expected_reply,
-                                     const std::string& payload);
+  /// Posts `start` to the loop and waits for the Done it is handed.
+  StatusOr<std::string> Await(std::function<void(Done)> start);
 
-  /// Remembers a successfully served recommend question in the bounded
-  /// hot-key table (route_key -> payload/hits/owner shard).
-  void RecordHotKey(const std::string& route_key, const std::string& payload,
-                    size_t owner) EXCLUDES(hot_mu_);
+  // The call state machine (loop thread). A Call walks its candidate shards
+  // (the healthy pass, then the last-resort pass) until one answers.
+  void Begin(CallPtr call);
+  void Advance(CallPtr call);
+  void Attempt(CallPtr call, size_t index);
+  void Send(CallPtr call, rpc::RpcChannel* channel);
+  void OnReply(CallPtr call, StatusOr<rpc::RpcFrame> reply);
+  /// An idle open channel of `shard`, else a closed slot; null when all are
+  /// busy.
+  static rpc::RpcChannel* FreeChannel(Shard& shard);
+  /// Hands free channels of `shard` to the calls waiting for one.
+  void ServeWaiting(Shard& shard);
+  /// Delivers `result` to the call's Done (queued on the loop).
+  void Finish(const CallPtr& call, StatusOr<std::string> result);
+  /// Fails every call in flight or waiting (Stop()).
+  void FailPending();
+  /// Loop tick: enforces the connect and call deadlines.
+  void CheckDeadlines();
 
   /// After a failover reroute: best-effort kWarm to `target` carrying the
   /// top-k hot questions last owned by the `failed` shards, so the survivor
   /// pre-computes them instead of serving cold. Rate-limited per failed
-  /// shard; never blocks the rerouted request's response path on an error.
-  void MaybeSendWarmHint(const std::vector<size_t>& failed, size_t target)
-      EXCLUDES(hot_mu_);
+  /// shard; `call` is answered once the hint is acknowledged or has failed
+  /// (its outcome never changes the answer).
+  void SendWarmHintThenFinish(const std::vector<size_t>& failed,
+                              size_t target, CallPtr call,
+                              std::string reply);
 
   void ProbeLoop();
 
   const Options options_;
+  /// Lock class "cluster.Router.shard_pool" (rank cluster=14): the loop's
+  /// posted-work queue, through which blocking callers hand calls to the
+  /// shard connection pool and HTTP handler threads hand back replies.
+  const std::shared_ptr<net::Reactor> loop_;
   std::vector<std::unique_ptr<Shard>> shards_;
   HashRing ring_;
 
@@ -179,22 +231,26 @@ class Router {
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
 
+  // Loop-thread state.
+  bool stopping_ = false;
+  size_t waiting_ = 0;  ///< Calls waiting for a channel, all shards.
+  uint64_t deadline_hook_ = 0;
+  static constexpr size_t kMaxHotKeys = 512;
+  HotKeyTable hot_keys_ = HotKeyTable(kMaxHotKeys);
+
   std::atomic<uint64_t> reroutes_{0};
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> warm_hints_{0};
   std::atomic<uint64_t> warm_keys_{0};
-
-  static constexpr size_t kMaxHotKeys = 512;
-
-  /// Lock class "cluster.Router.hot_keys" (rank cluster=14): guards only the
-  /// bounded hot-key table; never held across an RPC (payloads are copied
-  /// out, then the kWarm call runs unlocked).
-  mutable Mutex hot_mu_ ACQUIRED_AFTER(lockdiag::kRpcOrder);
-  HotKeyTable hot_keys_ GUARDED_BY(hot_mu_) = HotKeyTable(kMaxHotKeys);
 };
 
 /// \brief The HTTP face of the cluster: the standalone server's API, with
 /// every recommend forwarded to a shard instead of evaluated in-process.
+///
+/// The HTTP edge runs on the router's event loop (Router::loop()): single
+/// recommends and observes are forwarded from the loop and answered through
+/// deferred replies, so only batches and the admin routes use the handler
+/// pool (which calls the router's blocking API).
 ///
 /// Endpoints (same wire shapes as HttpRecommendServer):
 ///   POST /v1/recommend   routed by consistent hash; batches route per slot
@@ -212,6 +268,7 @@ class RouterHttpServer {
     net::HttpServer::Options http;
   };
 
+  /// Serves on `router`'s event loop, which must be running at Start().
   RouterHttpServer(Router* router, const Options& options);
 
   [[nodiscard]] Status Start() { return server_.Start(); }
@@ -221,19 +278,28 @@ class RouterHttpServer {
   const std::string& backend() const { return server_.backend(); }
   net::HttpServer::Stats http_stats() const { return server_.GetStats(); }
 
-  /// Full routing of one request. Public so tests can exercise routes
-  /// without a socket.
+  /// Full routing of one request, blocking on the router (any thread but
+  /// the router loop). The handler pool serves batches and the admin routes
+  /// with it; public so tests can exercise routes without a socket.
   net::HttpResponse Handle(const net::HttpRequest& request);
 
   std::string MetricsText() const;
 
  private:
+  /// On the router loop: health answers inline, and single recommends and
+  /// observes are forwarded without blocking and answered through
+  /// `deferral` (more than `dispatch_queue_capacity` calls waiting for a
+  /// shard connection: 503 + Retry-After). nullopt hands the rest
+  /// (batches, /v1/apps, /v1/reload, /metrics) to the handler pool.
+  std::optional<net::HttpResponse> HandleOnLoop(
+      const net::HttpRequest& request, net::HttpServer::Deferral& deferral);
   net::HttpResponse HandleRecommend(const net::HttpRequest& request);
   net::HttpResponse HandleObserve(const net::HttpRequest& request);
   net::HttpResponse HandleApps();
   net::HttpResponse HandleReload();
 
   Router* router_;  ///< Not owned; outlives the server.
+  const size_t max_waiting_;
   net::HttpServer server_;
 };
 

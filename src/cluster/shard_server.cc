@@ -21,6 +21,13 @@ rpc::RpcFrame Reply(rpc::FrameType type, std::string payload) {
   return frame;
 }
 
+rpc::RpcFrame RecommendReply(const std::string& app,
+                             const StatusOr<service::RecommendResponse>& answer) {
+  if (!answer.ok()) return ErrorFrame(answer.status());
+  return Reply(rpc::FrameType::kRecommendReply,
+               net::ResponseJson(app, *answer).Dump());
+}
+
 StatusOr<service::RecommendRequest> ParseRecommendPayload(
     const std::string& payload) {
   auto json = net::Json::Parse(payload);
@@ -40,8 +47,10 @@ ShardServer::ShardServer(
       server_(
           options.rpc,
           [this](const rpc::RpcFrame& request) { return Handle(request); },
-          [this](const rpc::RpcFrame& request) { return HandleFast(request); }) {
-}
+          [this](const rpc::RpcFrame& request,
+                 rpc::RpcServer::Deferral& deferral) {
+            return HandleOnLoop(request, &deferral);
+          }) {}
 
 rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
   switch (request.type) {
@@ -64,23 +73,33 @@ rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
 
 std::optional<rpc::RpcFrame> ShardServer::HandleFast(
     const rpc::RpcFrame& request) {
+  return HandleOnLoop(request, nullptr);
+}
+
+std::optional<rpc::RpcFrame> ShardServer::HandleOnLoop(
+    const rpc::RpcFrame& request, rpc::RpcServer::Deferral* deferral) {
   if (request.type != rpc::FrameType::kRecommend) return std::nullopt;
   auto parsed = ParseRecommendPayload(request.payload);
   if (!parsed.ok()) return ErrorFrame(parsed.status());  // No pool hop.
   auto cached = service_->TryRecommendCached(*parsed);
-  if (!cached.has_value()) return std::nullopt;  // Cold key: full path.
-  if (!cached->ok()) return ErrorFrame(cached->status());
-  return Reply(rpc::FrameType::kRecommendReply,
-               net::ResponseJson(parsed->app, **cached).Dump());
+  if (cached.has_value()) return RecommendReply(parsed->app, *cached);
+  if (deferral == nullptr) return std::nullopt;  // Cold key: full path.
+  // Cold key: the parsed request goes straight to the service's workers,
+  // whose callback answers the frame — no handler-pool hop, no second parse.
+  std::string app = parsed->app;
+  service_->RecommendThen(
+      std::move(parsed).value(),
+      [app = std::move(app), deferred = deferral->Take()](
+          StatusOr<service::RecommendResponse> answer) {
+        deferred.Complete(RecommendReply(app, answer));
+      });
+  return std::nullopt;
 }
 
 rpc::RpcFrame ShardServer::HandleRecommend(const rpc::RpcFrame& request) {
   auto parsed = ParseRecommendPayload(request.payload);
   if (!parsed.ok()) return ErrorFrame(parsed.status());
-  auto response = service_->Recommend(*parsed);
-  if (!response.ok()) return ErrorFrame(response.status());
-  return Reply(rpc::FrameType::kRecommendReply,
-               net::ResponseJson(parsed->app, *response).Dump());
+  return RecommendReply(parsed->app, service_->Recommend(*parsed));
 }
 
 rpc::RpcFrame ShardServer::HandleObserve(const rpc::RpcFrame& request) {

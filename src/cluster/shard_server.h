@@ -63,13 +63,20 @@ class ShardServer {
   /// Event-loop fast path: answers a kRecommend that needs no model
   /// evaluation (warm cache hit, malformed request, unknown app) with the
   /// same frame Handle() would return; nullopt for a cold key or any other
-  /// frame type, which then takes the handler-pool path.
+  /// frame type. Served over the socket, a cold kRecommend then goes
+  /// straight to the service (HandleOnLoop); every other frame type takes
+  /// the handler-pool path.
   std::optional<rpc::RpcFrame> HandleFast(const rpc::RpcFrame& request);
 
   /// Requests pre-computed from router warm hints since construction.
   uint64_t warms() const { return warms_.load(std::memory_order_relaxed); }
 
  private:
+  /// HandleFast, plus: a cold kRecommend takes `deferral` and is handed,
+  /// parsed, to RecommendationService::RecommendThen, whose worker completes
+  /// the reply with the frame Handle() would return.
+  std::optional<rpc::RpcFrame> HandleOnLoop(const rpc::RpcFrame& request,
+                                            rpc::RpcServer::Deferral* deferral);
   rpc::RpcFrame HandleRecommend(const rpc::RpcFrame& request);
   rpc::RpcFrame HandleObserve(const rpc::RpcFrame& request);
   rpc::RpcFrame HandleWarm(const rpc::RpcFrame& request);

@@ -21,6 +21,13 @@ HttpResponse MethodNotAllowed(const std::string& allow) {
   return response;
 }
 
+HttpResponse RecommendReply(
+    const std::string& app,
+    const StatusOr<service::RecommendResponse>& answer) {
+  if (!answer.ok()) return ErrorResponse(answer.status());
+  return HttpResponse::JsonBody(200, ResponseJson(app, *answer).Dump());
+}
+
 }  // namespace
 
 HttpRecommendServer::HttpRecommendServer(
@@ -33,8 +40,9 @@ HttpRecommendServer::HttpRecommendServer(
       server_(
           options.http,
           [this](const HttpRequest& request) { return Handle(request); },
-          [this](const HttpRequest& request) { return HandleFast(request); }) {
-}
+          [this](const HttpRequest& request, HttpServer::Deferral& deferral) {
+            return HandleOnLoop(request, &deferral);
+          }) {}
 
 Status HttpRecommendServer::Start() { return server_.Start(); }
 
@@ -54,6 +62,11 @@ HttpResponse HttpRecommendServer::ReadinessResponse() const {
 
 std::optional<HttpResponse> HttpRecommendServer::HandleFast(
     const HttpRequest& request) {
+  return HandleOnLoop(request, nullptr);
+}
+
+std::optional<HttpResponse> HttpRecommendServer::HandleOnLoop(
+    const HttpRequest& request, HttpServer::Deferral* deferral) {
   const std::string path = request.Path();
   if (path == "/livez" && request.method == "GET") {
     return HttpResponse::Text(200, "ok\n");
@@ -64,9 +77,9 @@ std::optional<HttpResponse> HttpRecommendServer::HandleFast(
   if (path != "/v1/recommend" || request.method != "POST") {
     return std::nullopt;
   }
-  // Warm-cache singles are answered right here on the event-loop thread.
-  // Anything that cannot be resolved without a model evaluation (or that is
-  // a batch) falls through to the handler pool.
+  // Warm-cache singles are answered right here on the event-loop thread,
+  // cold ones handed (parsed) to the service's workers. Batches fall through
+  // to the handler pool.
   auto json = Json::Parse(request.body);
   if (!json.ok()) return ErrorResponse(json.status());  // 400, no pool hop.
   if (json->is_object() && json->Find("requests") != nullptr) {
@@ -75,10 +88,16 @@ std::optional<HttpResponse> HttpRecommendServer::HandleFast(
   auto parsed = ParseRecommendRequest(*json);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
   auto cached = service_->TryRecommendCached(*parsed);
-  if (!cached.has_value()) return std::nullopt;  // Cold key: full path.
-  if (!cached->ok()) return ErrorResponse(cached->status());
-  return HttpResponse::JsonBody(
-      200, ResponseJson(parsed->app, **cached).Dump());
+  if (cached.has_value()) return RecommendReply(parsed->app, *cached);
+  if (deferral == nullptr) return std::nullopt;  // Cold key: full path.
+  std::string app = parsed->app;
+  service_->RecommendThen(
+      std::move(parsed).value(),
+      [app = std::move(app), deferred = deferral->Take()](
+          StatusOr<service::RecommendResponse> answer) {
+        deferred.Complete(RecommendReply(app, answer));
+      });
+  return std::nullopt;
 }
 
 HttpResponse HttpRecommendServer::Handle(const HttpRequest& request) {
@@ -125,10 +144,7 @@ HttpResponse HttpRecommendServer::HandleRecommend(const HttpRequest& request) {
   if (batch == nullptr) {
     auto parsed = ParseRecommendRequest(*json);
     if (!parsed.ok()) return ErrorResponse(parsed.status());
-    auto response = service_->Recommend(*parsed);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return HttpResponse::JsonBody(200,
-                                  ResponseJson(parsed->app, *response).Dump());
+    return RecommendReply(parsed->app, service_->Recommend(*parsed));
   }
 
   // Batch: every element must be well-formed (a malformed element is a

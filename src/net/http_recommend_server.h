@@ -46,6 +46,9 @@ namespace juggler::net {
 /// Fast path: /healthz and warm-cache /v1/recommend singles are answered on
 /// the event-loop thread via RecommendationService::TryRecommendCached() —
 /// no handler-pool hop for the recurring-application case the paper targets.
+/// A cold single goes from the loop straight to the service's workers
+/// (RecommendThen), which answer it through a deferred reply; only batches,
+/// observes and the admin routes use the handler pool.
 class HttpRecommendServer {
  public:
   struct Options {
@@ -89,13 +92,17 @@ class HttpRecommendServer {
   HttpResponse Handle(const HttpRequest& request);
 
   /// Event-loop fast path: answers /healthz and warm-cache recommend
-  /// singles inline; nullopt falls through to Handle() on the pool.
+  /// singles inline; nullopt otherwise (Handle() answers those).
   std::optional<HttpResponse> HandleFast(const HttpRequest& request);
 
   /// The Prometheus exposition text served at /metrics.
   std::string MetricsText() const;
 
  private:
+  /// HandleFast, plus: a cold recommend single takes `deferral` and is
+  /// answered by a service worker (RecommendationService::RecommendThen).
+  std::optional<HttpResponse> HandleOnLoop(const HttpRequest& request,
+                                           HttpServer::Deferral* deferral);
   HttpResponse HandleRecommend(const HttpRequest& request);
   HttpResponse HandleObserve(const HttpRequest& request);
   HttpResponse HandleApps() const;

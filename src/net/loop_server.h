@@ -1,28 +1,20 @@
 #ifndef JUGGLER_NET_LOOP_SERVER_H_
 #define JUGGLER_NET_LOOP_SERVER_H_
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/lock_diag.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "net/poller.h"
+#include "net/reactor.h"
 #include "net/socket_util.h"
 #include "service/thread_pool.h"
 
@@ -36,6 +28,9 @@ struct LoopServerStats {
   uint64_t requests = 0;           ///< Complete requests (frames) decoded.
   uint64_t pings = 0;              ///< Answered inline by the codec (kPing).
   uint64_t fast_path = 0;          ///< Answered inline by the FastHandler.
+  /// Taken by the FastHandler to answer later (a service miss, a routed
+  /// call) instead of going to the handler pool.
+  uint64_t deferred = 0;
   uint64_t overload_rejected = 0;  ///< Overload replies (503 / kError).
   uint64_t parse_errors = 0;       ///< Protocol errors (connection closed).
   uint64_t idle_closed = 0;        ///< Connections reaped by idle timeout.
@@ -44,25 +39,30 @@ struct LoopServerStats {
 };
 
 /// \brief Non-blocking TCP server core shared by the HTTP edge
-/// (`net::HttpServer`) and the JRPC shard port (`rpc::RpcServer`): one
-/// event-loop thread (epoll, poll fallback) for all connection I/O plus a
-/// bounded handler pool for request execution. The `Codec` supplies only
-/// what differs between the protocols; a template rather than virtual calls
-/// keeps the per-request path free of indirection.
+/// (`net::HttpServer`) and the JRPC shard port (`rpc::RpcServer`): connection
+/// I/O on one event loop (a `Reactor`: epoll, poll fallback) plus a bounded
+/// handler pool for request execution. The `Codec` supplies only what differs
+/// between the protocols; a template rather than virtual calls keeps the
+/// per-request path free of indirection.
 ///
 /// Threading model:
 ///  - The loop thread accepts, reads, decodes, writes, and sweeps idle and
 ///    stalled connections. Connection state belongs to it exclusively — no
-///    locks on the I/O path.
-///  - A complete request is either answered inline (by the codec, e.g. a
-///    JRPC ping, or by the optional `FastHandler`: sub-millisecond work
-///    only, such as cache hits and health checks) or dispatched to the
-///    handler pool. The pool thread runs the `Handler`, encodes the reply,
-///    and hands the bytes back to the loop through a mutex-guarded
-///    completion list + wake pipe.
-///  - Per connection, at most one request is in the handler at a time;
-///    pipelined requests wait in the connection's decode buffer, so replies
-///    always leave in request order.
+///    locks on the I/O path. The loop is the server's own, or a `Reactor`
+///    another component also runs on (the cluster router's HTTP edge shares
+///    the router's loop with its shard connections).
+///  - A complete request is answered inline (by the codec, e.g. a JRPC ping,
+///    or by the optional FastHandler: sub-millisecond work only, such as
+///    cache hits and health checks), taken by the FastHandler to be answered
+///    later through a `Deferred` token, or dispatched to the handler pool —
+///    which is itself one user of the token: the pool thread runs the
+///    `Handler` and completes the token with its response.
+///  - Completing a token on the loop thread appends the reply bytes to the
+///    connection directly. From any other thread the bytes are encoded there
+///    and handed to the loop through its posted-closure queue + wake pipe.
+///  - Per connection, at most one request is outstanding (deferred or in the
+///    pool) at a time; pipelined requests wait in the connection's decode
+///    buffer, so replies always leave in request order.
 ///
 /// Backpressure contract (the RecommendationService policy, preserved at the
 /// socket edge): when the handler pool's bounded queue is full the server
@@ -80,10 +80,11 @@ struct LoopServerStats {
 ///    `AppendParseError(const Result&, out)`, `AppendReadTimeout(out)`;
 ///  - `AnswerInline(Request&, out)`: answer ahead of the FastHandler, or
 ///    return false;
-///  - `ReadPauseThreshold(const Limits&)`: the flood-guard bound;
-///  - `kLockClass`/`kLockRank`: the completion lock's class and rank.
+///  - `ReadPauseThreshold(const Limits&)`: the flood guard bound;
+///  - `kLockClass`/`kLockRank`: the lock class and rank of the own loop's
+///    posted-closure queue.
 template <typename Codec>
-class LoopServer {
+class LoopServer : private Reactor::Watcher {
  public:
   using Decoder = typename Codec::Decoder;
   using Request = typename Codec::Request;
@@ -112,8 +113,81 @@ class LoopServer {
     /// deadline or the connection is closed. <= 0 disables.
     int write_timeout_ms = 10'000;
     size_t max_connections = 1024;
-    /// Use the portable poll(2) backend even where epoll is available.
+    /// Use the portable poll(2) backend even where epoll is available (own
+    /// loop only; a shared loop keeps its owner's backend).
     bool force_poll = false;
+  };
+
+ private:
+  struct Connection;
+  /// What a token needs to reach its connection. Shared by every token of
+  /// one run of the server; `server` is read and cleared on the loop thread
+  /// only, so tokens completed after Stop() are dropped.
+  struct Sink {
+    std::shared_ptr<Reactor> reactor;
+    LoopServer* server = nullptr;
+  };
+
+ public:
+  /// \brief Completion token for one request: answers it from any thread,
+  /// at most once (a late or repeated completion is dropped, as is one for a
+  /// connection that closed meanwhile). Cheap to copy.
+  class Deferred {
+   public:
+    void Complete(Response response) const {
+      const bool keep_alive = Codec::KeepAlive(reply_);
+      if (sink_->reactor->InLoopThread()) {
+        if (sink_->server != nullptr) {
+          sink_->server->Deliver(fd_, id_, seq_, keep_alive,
+                                 [&](std::string* out) {
+                                   Codec::AppendResponse(response, reply_, out);
+                                 });
+        }
+        return;
+      }
+      std::string bytes;
+      Codec::AppendResponse(response, reply_, &bytes);
+      (void)sink_->reactor->Post([sink = sink_, fd = fd_, id = id_,
+                                  seq = seq_, keep_alive,
+                                  bytes = std::move(bytes)] {
+        if (sink->server == nullptr) return;  // Stopped meanwhile.
+        sink->server->Deliver(fd, id, seq, keep_alive,
+                              [&](std::string* out) { *out += bytes; });
+      });
+    }
+
+   private:
+    friend class LoopServer;
+    Deferred(std::shared_ptr<Sink> sink, const Connection& conn, Reply reply)
+        : sink_(std::move(sink)), fd_(conn.fd), id_(conn.id),
+          seq_(conn.inflight_seq), reply_(reply) {}
+
+    std::shared_ptr<Sink> sink_;
+    int fd_;
+    uint64_t id_;
+    uint64_t seq_;
+    Reply reply_;
+  };
+
+  /// Handed to a DeferringHandler with each request.
+  class Deferral {
+   public:
+    /// Claims the request: it is answered when the returned token is
+    /// completed, and the handler's return value is ignored.
+    Deferred Take() {
+      taken_ = true;
+      return Deferred(server_->sink_, *conn_, reply_);
+    }
+
+   private:
+    friend class LoopServer;
+    Deferral(LoopServer* server, const Connection* conn, Reply reply)
+        : server_(server), conn_(conn), reply_(reply) {}
+
+    LoopServer* server_;
+    const Connection* conn_;
+    Reply reply_;
+    bool taken_ = false;
   };
 
   /// Runs on a handler-pool thread; may block (e.g. on a model evaluation).
@@ -124,81 +198,73 @@ class LoopServer {
   /// nullopt to fall through to the pool. Must not block.
   using FastHandler = std::function<std::optional<Response>(const Request&)>;
 
+  /// A FastHandler that may also take the request to answer it later
+  /// (`Deferral::Take()`), e.g. by handing it to a worker or a non-blocking
+  /// client whose callback completes the token. Must not block.
+  using DeferringHandler =
+      std::function<std::optional<Response>(const Request&, Deferral&)>;
+
   LoopServer(const Options& options, Handler handler,
              FastHandler fast_handler = nullptr)
+      : LoopServer(nullptr, options, std::move(handler),
+                   Adapt(std::move(fast_handler))) {}
+
+  LoopServer(const Options& options, Handler handler,
+             DeferringHandler fast_handler)
+      : LoopServer(nullptr, options, std::move(handler),
+                   std::move(fast_handler)) {}
+
+  /// Serves on `reactor` (null: a loop of its own). A shared loop is started
+  /// and stopped by its owner; Start() requires it running, and Stop()
+  /// detaches this server from it.
+  LoopServer(std::shared_ptr<Reactor> reactor, const Options& options,
+             Handler handler, DeferringHandler fast_handler)
       : options_(options),
         handler_(std::move(handler)),
         fast_handler_(std::move(fast_handler)),
-        mu_(lockdiag::RegisterLockClass(Codec::kLockClass, Codec::kLockRank)) {
-  }
+        owns_reactor_(reactor == nullptr),
+        reactor_(owns_reactor_
+                     ? std::make_shared<Reactor>(Codec::kLockClass,
+                                                 Codec::kLockRank,
+                                                 options.force_poll)
+                     : std::move(reactor)),
+        backend_(reactor_->backend()) {}
+
   ~LoopServer() { Stop(); }
 
   LoopServer(const LoopServer&) = delete;
   LoopServer& operator=(const LoopServer&) = delete;
 
-  /// Binds, listens, and starts the loop + handler threads. Errors:
-  /// Internal (socket/bind failures), InvalidArgument (bad host),
-  /// FailedPrecondition (already started).
-  [[nodiscard]] Status Start() EXCLUDES(mu_) {
+  /// Binds, listens, and starts serving (the loop, if its own, and the
+  /// handler pool). On failure everything opened so far is closed and
+  /// Start() may be retried. Errors: Internal (socket/bind failures),
+  /// InvalidArgument (bad host), FailedPrecondition (already started, or a
+  /// shared loop that is not running).
+  [[nodiscard]] Status Start() {
     if (started_.exchange(true)) {
       return Status::FailedPrecondition("server already started");
     }
-    auto listen_fd = ListenTcp(options_.host, options_.port);
-    if (!listen_fd.ok()) return listen_fd.status();
-    listen_fd_ = *listen_fd;
-    auto port = LocalPort(listen_fd_);
-    if (!port.ok()) {
-      CloseFd(listen_fd_);
-      listen_fd_ = -1;
-      return port.status();
+    Status status = Open();
+    if (!status.ok()) {
+      Close();
+      started_.store(false);
     }
-    bound_port_ = *port;
-
-    int pipe_fds[2];
-    if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-      CloseFd(listen_fd_);
-      listen_fd_ = -1;
-      return Status::Internal(std::string("pipe2: ") + std::strerror(errno));
-    }
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-
-    poller_ = Poller::Create(options_.force_poll);
-    backend_ = poller_->backend_name();
-    JUGGLER_RETURN_IF_ERROR(poller_->Add(listen_fd_, /*want_read=*/true,
-                                         /*want_write=*/false));
-    JUGGLER_RETURN_IF_ERROR(poller_->Add(wake_read_fd_, /*want_read=*/true,
-                                         /*want_write=*/false));
-
-    pool_ = std::make_unique<service::ThreadPool>(service::ThreadPool::Options{
-        options_.num_handler_threads, options_.dispatch_queue_capacity});
-    loop_thread_ = std::thread([this] { LoopMain(); });
-    return Status::OK();
+    return status;
   }
 
-  /// Graceful stop: closes the listener and every connection, joins the
-  /// loop thread, then drains and joins the handler pool. Idempotent.
-  void Stop() EXCLUDES(mu_) {
-    if (!started_.load()) return;
-    stop_.store(true);
-    if (loop_thread_.joinable()) {
-      WakeLoop();
-      loop_thread_.join();
-    }
-    // After the loop exits no new work is dispatched; drain handlers that
-    // are still running (their completions land in completions_ and are
-    // dropped).
-    if (pool_) pool_->Shutdown();
-    CloseFd(listen_fd_);
-    CloseFd(wake_read_fd_);
-    CloseFd(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+  /// Graceful stop: closes the listener and every connection, stops the
+  /// loop (if its own), then drains and joins the handler pool. Replies
+  /// completed after this are dropped. Idempotent.
+  void Stop() {
+    if (!started_.load() || stopped_.exchange(true)) return;
+    if (owns_reactor_) reactor_->Stop();
+    Close();
   }
 
   /// The bound port (valid after a successful Start()).
   uint16_t port() const { return bound_port_; }
 
-  /// "epoll" or "poll" (valid after a successful Start()).
+  /// "epoll" or "poll".
   const std::string& backend() const { return backend_; }
 
   Stats GetStats() const {
@@ -208,6 +274,7 @@ class LoopServer {
     stats.requests = requests_.load(std::memory_order_relaxed);
     stats.pings = pings_.load(std::memory_order_relaxed);
     stats.fast_path = fast_path_.load(std::memory_order_relaxed);
+    stats.deferred = deferred_.load(std::memory_order_relaxed);
     stats.overload_rejected =
         overload_rejected_.load(std::memory_order_relaxed);
     stats.parse_errors = parse_errors_.load(std::memory_order_relaxed);
@@ -221,16 +288,18 @@ class LoopServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Loop tick: upper bound on stop latency and sweep granularity.
-  static constexpr int kLoopTickMs = 50;
-
   /// Per-connection state. Owned and touched by the loop thread only.
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
     Decoder decoder;
     std::string out;                ///< Bytes awaiting write.
-    bool handler_inflight = false;  ///< A request is in the pool right now.
+    /// A request is outstanding (deferred or in the pool) right now.
+    bool handler_inflight = false;
+    /// Numbers the outstanding request, so its token cannot answer a later
+    /// one.
+    uint64_t inflight_seq = 0;
+    bool pumping = false;  ///< PumpRequests is on the stack for it.
     bool close_after_write = false;
     bool read_closed = false;  ///< Peer half-closed or poisoned decoder.
     /// Flood guard engaged: the decode buffer holds more than one maximal
@@ -252,56 +321,78 @@ class LoopServer {
           last_activity(Clock::now()) {}
   };
 
-  /// A finished handler invocation travelling back to the loop thread.
-  /// The connection is found by fd and confirmed by id: the fd may have been
-  /// closed and reused while the handler ran.
-  struct Completion {
-    int fd = -1;
-    uint64_t connection_id = 0;
-    std::string bytes;  ///< Fully encoded reply.
-    bool keep_alive = true;
-  };
-
-  void WakeLoop() {
-    const char byte = 'w';
-    // EAGAIN means the pipe already holds a pending wake-up; that is enough.
-    ssize_t n;
-    do {
-      n = ::write(wake_write_fd_, &byte, 1);
-    } while (n < 0 && errno == EINTR);
+  static DeferringHandler Adapt(FastHandler fast_handler) {
+    if (!fast_handler) return nullptr;
+    return [fast = std::move(fast_handler)](const Request& request,
+                                            Deferral&) {
+      return fast(request);
+    };
   }
 
-  void LoopMain() {
-    std::vector<Poller::Event> events;
-    while (!stop_.load(std::memory_order_acquire)) {
-      if (Status status = poller_->Wait(kLoopTickMs, &events); !status.ok()) {
-        break;  // Poller broken (fd table exhausted, ...): shut down.
-      }
-      for (const Poller::Event& event : events) {
-        if (event.fd == wake_read_fd_) {
-          char drain[64];
-          ssize_t n;
-          do {
-            n = ::read(wake_read_fd_, drain, sizeof(drain));
-          } while (n > 0 || (n < 0 && errno == EINTR));
-          continue;
-        }
-        if (event.fd == listen_fd_) {
-          AcceptPending();
-          continue;
-        }
-        HandleConnectionEvent(event);
-      }
-      ApplyCompletions();
-      Sweep();
+  Status Open() {
+    auto listen_fd = ListenTcp(options_.host, options_.port);
+    if (!listen_fd.ok()) return listen_fd.status();
+    listen_fd_ = *listen_fd;
+    auto port = LocalPort(listen_fd_);
+    if (!port.ok()) return port.status();
+    bound_port_ = *port;
+    if (!owns_reactor_ && !reactor_->running()) {
+      return Status::FailedPrecondition("shared event loop is not running");
     }
-    // Loop exit: close every connection (the loop thread owns them all).
+    pool_ = std::make_unique<service::ThreadPool>(service::ThreadPool::Options{
+        options_.num_handler_threads, options_.dispatch_queue_capacity});
+    Status attached;
+    reactor_->RunSync([this, &attached] { attached = Attach(); });
+    JUGGLER_RETURN_IF_ERROR(attached);
+    if (owns_reactor_) return reactor_->Start();
+    return Status::OK();
+  }
+
+  /// Loop thread (or no loop running): registers the listener and the sweep.
+  Status Attach() {
+    sink_ = std::make_shared<Sink>(Sink{reactor_, this});
+    JUGGLER_RETURN_IF_ERROR(reactor_->Watch(listen_fd_, /*want_read=*/true,
+                                            /*want_write=*/false, this));
+    sweep_hook_ = reactor_->AddTickHook([this] { Sweep(); });
+    attached_ = true;
+    return Status::OK();
+  }
+
+  /// Loop thread (or no loop running): closes every connection and leaves
+  /// the loop; tokens still out are dropped from here on.
+  void Detach() {
+    if (sink_ != nullptr) sink_->server = nullptr;
+    if (!attached_) return;
+    attached_ = false;
+    reactor_->RemoveTickHook(sweep_hook_);
+    reactor_->Unwatch(listen_fd_);
     for (auto& [fd, conn] : connections_) {
-      poller_->Remove(fd);
+      reactor_->Unwatch(fd);
       CloseFd(fd);
       active_.fetch_sub(1, std::memory_order_relaxed);
     }
     connections_.clear();
+  }
+
+  /// Undoes Open(), whole or partial.
+  void Close() {
+    reactor_->RunSync([this] { Detach(); });
+    if (pool_) {
+      // After the detach no new work is dispatched; drain handlers that are
+      // still running (their replies are dropped).
+      pool_->Shutdown();
+      pool_.reset();
+    }
+    CloseFd(listen_fd_);
+    listen_fd_ = -1;
+  }
+
+  void OnEvent(const Poller::Event& event) override {
+    if (event.fd == listen_fd_) {
+      AcceptPending();
+    } else {
+      HandleConnectionEvent(event);
+    }
   }
 
   void AcceptPending() {
@@ -323,7 +414,8 @@ class LoopServer {
       SetTcpNoDelay(fd);
       auto conn = std::make_unique<Connection>(fd, next_connection_id_++,
                                                options_.limits);
-      if (!poller_->Add(fd, /*want_read=*/true, /*want_write=*/false).ok()) {
+      if (!reactor_->Watch(fd, /*want_read=*/true, /*want_write=*/false, this)
+               .ok()) {
         CloseFd(fd);
         continue;
       }
@@ -339,7 +431,7 @@ class LoopServer {
 
   void CloseConnection(int fd) {
     if (connections_.erase(fd) == 0) return;
-    poller_->Remove(fd);
+    reactor_->Unwatch(fd);
     CloseFd(fd);
     active_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -382,8 +474,9 @@ class LoopServer {
     FlushWrites(conn);
   }
 
-  /// Decodes as many buffered requests as can be answered or dispatched now.
+  /// Decodes as many buffered requests as can be answered or handed off now.
   void PumpRequests(Connection* conn) {
+    conn->pumping = true;
     while (!conn->handler_inflight && !conn->close_after_write) {
       typename Decoder::Result result = conn->decoder.Next();
       if (result.state == Decoder::State::kNeedMore) break;
@@ -405,7 +498,18 @@ class LoopServer {
       }
       const Reply reply = Codec::ReplyFor(request);
       if (fast_handler_) {
-        if (std::optional<Response> fast = fast_handler_(request)) {
+        // Outstanding while the handler runs: a token it takes and completes
+        // before returning clears this again.
+        conn->handler_inflight = true;
+        ++conn->inflight_seq;
+        Deferral deferral(this, conn, reply);
+        std::optional<Response> fast = fast_handler_(request, deferral);
+        if (deferral.taken_) {
+          deferred_.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        conn->handler_inflight = false;
+        if (fast.has_value()) {
           fast_path_.fetch_add(1, std::memory_order_relaxed);
           Codec::AppendResponse(*fast, reply, &conn->out);
           if (!Codec::KeepAlive(reply)) conn->close_after_write = true;
@@ -414,6 +518,7 @@ class LoopServer {
       }
       DispatchToPool(conn, reply, std::move(request));
     }
+    conn->pumping = false;
 
     // Header-read deadline: armed while a partial request sits in the
     // buffer, disarmed when the buffer drains. last_activity is *not* the
@@ -426,51 +531,44 @@ class LoopServer {
   }
 
   void DispatchToPool(Connection* conn, Reply reply, Request request) {
-    const int fd = conn->fd;
-    const uint64_t id = conn->id;
-    Status submitted =
-        pool_->Submit([this, fd, id, reply, request = std::move(request)] {
-          Response response = handler_(request);
-          Completion completion{fd, id, {}, Codec::KeepAlive(reply)};
-          Codec::AppendResponse(response, reply, &completion.bytes);
-          {
-            MutexLock lock(mu_);
-            completions_.push_back(std::move(completion));
-          }
-          WakeLoop();
+    conn->handler_inflight = true;
+    ++conn->inflight_seq;
+    Status submitted = pool_->Submit(
+        [this, deferred = Deferred(sink_, *conn, reply),
+         request = std::move(request)] {
+          deferred.Complete(handler_(request));
         });
     if (!submitted.ok()) {
       // Full dispatch queue (or shutdown): shed at the edge, immediately.
+      conn->handler_inflight = false;
       overload_rejected_.fetch_add(1, std::memory_order_relaxed);
       Codec::AppendOverload(reply, &conn->out);
       if (!Codec::KeepAlive(reply)) conn->close_after_write = true;
-      return;
     }
-    conn->handler_inflight = true;
   }
 
-  void ApplyCompletions() EXCLUDES(mu_) {
-    std::vector<Completion> ready;
-    {
-      MutexLock lock(mu_);
-      ready.swap(completions_);
+  /// Loop thread: appends the outstanding request's answer (`append` writes
+  /// the bytes), then moves the connection on.
+  template <typename Append>
+  void Deliver(int fd, uint64_t id, uint64_t seq, bool keep_alive,
+               const Append& append) {
+    Connection* conn = FindConnection(fd);
+    if (conn == nullptr || conn->id != id || !conn->handler_inflight ||
+        conn->inflight_seq != seq) {
+      return;  // Connection died (or moved on) while handling.
     }
-    for (Completion& completion : ready) {
-      Connection* conn = FindConnection(completion.fd);
-      if (conn == nullptr || conn->id != completion.connection_id) {
-        continue;  // Connection died while handling.
-      }
-      conn->out += completion.bytes;
-      conn->handler_inflight = false;
-      conn->last_activity = Clock::now();
-      if (!completion.keep_alive) conn->close_after_write = true;
-      if (conn->read_paused && conn->decoder.buffered_bytes() <=
-                                   Codec::ReadPauseThreshold(options_.limits)) {
-        conn->read_paused = false;
-      }
-      PumpRequests(conn);  // Pipelined requests waiting in the buffer.
-      FlushWrites(conn);
+    append(&conn->out);
+    conn->handler_inflight = false;
+    conn->last_activity = Clock::now();
+    if (!keep_alive) conn->close_after_write = true;
+    if (conn->read_paused && conn->decoder.buffered_bytes() <=
+                                 Codec::ReadPauseThreshold(options_.limits)) {
+      conn->read_paused = false;
     }
+    // Answered from inside its own handler: that pump goes on from here.
+    if (conn->pumping) return;
+    PumpRequests(conn);  // Pipelined requests waiting in the buffer.
+    FlushWrites(conn);
   }
 
   /// Flushes the write buffer; adjusts write interest; may close `conn`.
@@ -509,7 +607,7 @@ class LoopServer {
     const bool want_read = !conn->read_closed && !conn->read_paused;
     const bool want_write = !conn->out.empty();
     if (want_read != conn->reg_read || want_write != conn->want_write) {
-      if (poller_->Update(fd, want_read, want_write).ok()) {
+      if (reactor_->Update(fd, want_read, want_write).ok()) {
         conn->reg_read = want_read;
         conn->want_write = want_write;
       }
@@ -568,39 +666,32 @@ class LoopServer {
 
   const Options options_;
   const Handler handler_;
-  const FastHandler fast_handler_;
+  const DeferringHandler fast_handler_;
+  const bool owns_reactor_;
+  const std::shared_ptr<Reactor> reactor_;
+  const std::string backend_;
 
-  // Immutable after Start().
+  // Set by Start(), read-only while serving.
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
   uint16_t bound_port_ = 0;
-  std::string backend_;
+  std::unique_ptr<service::ThreadPool> pool_;
+  std::atomic<bool> started_{false};
+  std::atomic<bool> stopped_{false};
 
   // Loop-thread-only state (no locks: single writer, single reader).
-  std::unique_ptr<Poller> poller_;
+  std::shared_ptr<Sink> sink_;
+  bool attached_ = false;
+  uint64_t sweep_hook_ = 0;
   /// Open connections by fd; `Connection::id` tells reuses of an fd apart.
   std::map<int, std::unique_ptr<Connection>> connections_;
   uint64_t next_connection_id_ = 1;
-
-  std::unique_ptr<service::ThreadPool> pool_;
-  std::thread loop_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stop_{false};
-
-  /// Lock class `Codec::kLockClass` ("net.HttpServer.completions", rank
-  /// net=10; "rpc.RpcServer.completions", rank rpc=12): the outermost layer
-  /// of the lock order — pool workers take it *after* releasing every
-  /// service-layer lock (the handler has fully returned), and the loop
-  /// thread holds it only to swap the vector.
-  mutable Mutex mu_ ACQUIRED_BEFORE(lockdiag::kServiceOrder);
-  std::vector<Completion> completions_ GUARDED_BY(mu_);
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> active_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> pings_{0};
   std::atomic<uint64_t> fast_path_{0};
+  std::atomic<uint64_t> deferred_{0};
   std::atomic<uint64_t> overload_rejected_{0};
   std::atomic<uint64_t> parse_errors_{0};
   std::atomic<uint64_t> idle_closed_{0};

@@ -99,6 +99,10 @@ inline void AppendHttpServerMetrics(const LoopServerStats& http,
          http.requests);
   series("juggler_http_fast_path_total", "counter",
          "HTTP requests answered inline on the event loop.", http.fast_path);
+  series("juggler_http_deferred_total", "counter",
+         "HTTP requests taken on the event loop and answered later (cold "
+         "recommends, routed calls).",
+         http.deferred);
   series("juggler_http_overload_rejected_total", "counter",
          "HTTP requests answered 503 by the dispatch-queue guard.",
          http.overload_rejected);

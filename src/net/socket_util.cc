@@ -95,8 +95,7 @@ StatusOr<int> AcceptNonBlocking(int listen_fd) {
   }
 }
 
-StatusOr<int> ConnectTcp(const std::string& host, uint16_t port,
-                         int timeout_ms) {
+StatusOr<int> StartConnect(const std::string& host, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -117,31 +116,44 @@ StatusOr<int> ConnectTcp(const std::string& host, uint16_t port,
     CloseFd(fd);
     return status;
   }
-  if (rc != 0) {
-    // Non-blocking connect in flight: writability signals the outcome.
-    auto ready = WaitFd(fd, /*want_write=*/true, timeout_ms);
-    if (!ready.ok()) {
-      CloseFd(fd);
-      return ready.status();
-    }
-    if (!*ready) {
-      CloseFd(fd);
-      return Status::Aborted("connect " + host + ":" + std::to_string(port) +
-                             " timed out after " + std::to_string(timeout_ms) +
-                             " ms");
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
-        so_error != 0) {
-      CloseFd(fd);
-      return Status::Internal("connect " + host + ":" +
-                              std::to_string(port) + ": " +
-                              std::strerror(so_error != 0 ? so_error : errno));
-    }
-  }
   SetTcpNoDelay(fd);
   return fd;
+}
+
+Status ConnectError(int fd) {
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+    return Errno("getsockopt(SO_ERROR)");
+  }
+  if (so_error != 0) {
+    return Status::Internal(std::strerror(so_error));
+  }
+  return Status::OK();
+}
+
+StatusOr<int> ConnectTcp(const std::string& host, uint16_t port,
+                         int timeout_ms) {
+  auto fd = StartConnect(host, port);
+  if (!fd.ok()) return fd.status();
+  // Writability signals the outcome of the connect in flight (at once when
+  // it already completed).
+  auto ready = WaitFd(*fd, /*want_write=*/true, timeout_ms);
+  Status status = !ready.ok() ? ready.status()
+                  : !*ready   ? Status::Aborted(
+                                  "connect " + host + ":" +
+                                  std::to_string(port) + " timed out after " +
+                                  std::to_string(timeout_ms) + " ms")
+                              : ConnectError(*fd);
+  if (!status.ok()) {
+    CloseFd(*fd);
+    if (status.code() == StatusCode::kInternal) {
+      return Status::Internal("connect " + host + ":" + std::to_string(port) +
+                              ": " + status.message());
+    }
+    return status;
+  }
+  return *fd;
 }
 
 StatusOr<bool> WaitFd(int fd, bool want_write, int timeout_ms) {

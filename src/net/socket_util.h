@@ -35,6 +35,17 @@ void SetTcpNoDelay(int fd);
 /// real failures.
 [[nodiscard]] StatusOr<int> AcceptNonBlocking(int listen_fd);
 
+/// Starts a non-blocking dial of `host:port` (numeric IPv4): returns a
+/// non-blocking, close-on-exec socket with TCP_NODELAY set whose connect has
+/// completed or is in flight. Writability signals the outcome, which
+/// ConnectError() then reads. Internal on an immediate refusal.
+[[nodiscard]] StatusOr<int> StartConnect(const std::string& host,
+                                         uint16_t port);
+
+/// The outcome of a StartConnect() socket once it polls writable (or
+/// reports an error): OK when connected, Internal with the reason otherwise.
+[[nodiscard]] Status ConnectError(int fd);
+
 /// Dials `host:port` (numeric IPv4) and waits up to `timeout_ms` for the
 /// connect to complete. Returns a connected non-blocking, close-on-exec
 /// socket with TCP_NODELAY set. Aborted on timeout, Internal on refusal.

@@ -11,8 +11,9 @@ namespace juggler::rpc {
 
 /// \brief Synchronous JRPC client: one connection, one request in flight.
 ///
-/// The router keeps a small pool of these per shard (checkout/checkin), so
-/// a single client never needs internal locking — it is NOT thread-safe.
+/// Used by the router's health prober, tools and tests; the router forwards
+/// through RpcChannel, the non-blocking counterpart. Not thread-safe: one
+/// client per thread at a time.
 ///
 /// Failure model: any transport problem (dial failure, deadline, peer close,
 /// protocol error) closes the connection and surfaces as a non-OK Status —

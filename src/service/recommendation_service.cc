@@ -84,12 +84,46 @@ RecommendationService::TryRecommendCached(const RecommendRequest& request) {
 
 StatusOr<RecommendResponse> RecommendationService::Recommend(
     const RecommendRequest& request) {
+  auto promise =
+      std::make_shared<std::promise<StatusOr<RecommendResponse>>>();
+  auto future = promise->get_future();
+  Dispatch(request, /*reprobe=*/false,
+           [promise](StatusOr<RecommendResponse> result) {
+             promise->set_value(std::move(result));
+           });
+  return future.get();
+}
+
+std::future<StatusOr<RecommendResponse>> RecommendationService::RecommendAsync(
+    RecommendRequest request) {
+  auto promise =
+      std::make_shared<std::promise<StatusOr<RecommendResponse>>>();
+  auto future = promise->get_future();
+  // The worker re-probes the cache, so duplicate in-flight keys still
+  // coalesce to one evaluation most of the time.
+  Dispatch(std::move(request), /*reprobe=*/true,
+           [promise](StatusOr<RecommendResponse> result) {
+             promise->set_value(std::move(result));
+           });
+  return future;
+}
+
+void RecommendationService::RecommendThen(RecommendRequest request,
+                                          RecommendCallback done) {
+  Dispatch(std::move(request), /*reprobe=*/false, std::move(done));
+}
+
+void RecommendationService::Dispatch(RecommendRequest request, bool reprobe,
+                                     RecommendCallback done) {
   const auto start = Clock::now();
   auto resolved = registry_->Resolve(request.app);
-  if (!resolved.ok()) return resolved.status();
+  if (!resolved.ok()) {
+    done(resolved.status());
+    return;
+  }
   AppCounters& app = CountersFor(request.app);
   app.requests.fetch_add(1, std::memory_order_relaxed);
-  const std::string key =
+  std::string key =
       PredictionCache::MakeKey(request.app, resolved->version, request.params,
                                request.machine_type, request.objective);
   // Warm hits are answered on the caller's thread: no queue slot, no worker
@@ -99,104 +133,44 @@ StatusOr<RecommendResponse> RecommendationService::Recommend(
     const double elapsed = ElapsedUs(start);
     latency_.Record(elapsed);
     app.latency.Record(elapsed);
-    return RecommendResponse{std::move(cached), /*cache_hit=*/true,
-                             resolved->version};
+    done(RecommendResponse{std::move(cached), /*cache_hit=*/true,
+                           resolved->version});
+    return;
   }
   app.cache_misses.fetch_add(1, std::memory_order_relaxed);
 
-  auto promise =
-      std::make_shared<std::promise<StatusOr<RecommendResponse>>>();
-  auto future = promise->get_future();
-  const auto enqueued = Clock::now();
-  Status submitted = pool_->Submit(
-      [this, start, enqueued, resolved = std::move(resolved).value(), request,
-       key, promise, app = &app] {
-        // Shed before evaluating: the client has likely timed out already.
-        const double waited_ms = ElapsedUs(enqueued) / 1000.0;
-        if (options_.queue_deadline_ms > 0.0 &&
-            waited_ms > options_.queue_deadline_ms) {
-          deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-          promise->set_value(
-              DeadlineExceeded(waited_ms, options_.queue_deadline_ms));
-          return;
-        }
-        if (options_.pre_eval_hook) options_.pre_eval_hook();
-        auto result = EvaluateNow(resolved, request, key, *app);
-        const double elapsed = ElapsedUs(start);
-        latency_.Record(elapsed);
-        app->latency.Record(elapsed);
-        promise->set_value(std::move(result));
-      });
+  auto job = std::make_shared<Job>(Job{std::move(resolved).value(),
+                                       std::move(request), std::move(key),
+                                       std::move(done), &app, start,
+                                       Clock::now(), reprobe});
+  Status submitted = pool_->Submit([this, job] { Evaluate(*job); });
   if (!submitted.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    return submitted;
+    job->done(std::move(submitted));
   }
-  return future.get();
 }
 
-std::future<StatusOr<RecommendResponse>> RecommendationService::RecommendAsync(
-    RecommendRequest request) {
-  // One pool hop for the whole request keeps the async path simple; the
-  // worker re-probes the cache, so duplicate in-flight keys still coalesce
-  // to one evaluation most of the time.
-  auto promise =
-      std::make_shared<std::promise<StatusOr<RecommendResponse>>>();
-  auto future = promise->get_future();
-  const auto start = Clock::now();
-  auto resolved = registry_->Resolve(request.app);
-  if (!resolved.ok()) {
-    promise->set_value(resolved.status());
-    return future;
+void RecommendationService::Evaluate(Job& job) {
+  // Shed before evaluating: the client has likely timed out already.
+  const double waited_ms = ElapsedUs(job.enqueued) / 1000.0;
+  if (options_.queue_deadline_ms > 0.0 &&
+      waited_ms > options_.queue_deadline_ms) {
+    deadline_shed_.fetch_add(1, std::memory_order_relaxed);
+    job.done(DeadlineExceeded(waited_ms, options_.queue_deadline_ms));
+    return;
   }
-  AppCounters& app = CountersFor(request.app);
-  app.requests.fetch_add(1, std::memory_order_relaxed);
-  std::string key =
-      PredictionCache::MakeKey(request.app, resolved->version, request.params,
-                               request.machine_type, request.objective);
-  if (auto cached = cache_->Get(key)) {
-    app.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    const double elapsed = ElapsedUs(start);
-    latency_.Record(elapsed);
-    app.latency.Record(elapsed);
-    promise->set_value(RecommendResponse{std::move(cached), /*cache_hit=*/true,
-                                         resolved->version});
-    return future;
+  if (options_.pre_eval_hook) options_.pre_eval_hook();
+  StatusOr<RecommendResponse> result = Status::Internal("not evaluated");
+  if (auto cached = job.reprobe ? cache_->Get(job.key) : nullptr) {
+    result = RecommendResponse{std::move(cached), /*cache_hit=*/true,
+                               job.resolved.version};
+  } else {
+    result = EvaluateNow(job.resolved, job.request, job.key, *job.app);
   }
-  app.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  const auto enqueued = Clock::now();
-  Status submitted = pool_->Submit(
-      [this, start, enqueued, resolved = std::move(resolved).value(),
-       request = std::move(request), key = std::move(key), promise,
-       app = &app] {
-        const double waited_ms = ElapsedUs(enqueued) / 1000.0;
-        if (options_.queue_deadline_ms > 0.0 &&
-            waited_ms > options_.queue_deadline_ms) {
-          deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-          promise->set_value(
-              DeadlineExceeded(waited_ms, options_.queue_deadline_ms));
-          return;
-        }
-        if (options_.pre_eval_hook) options_.pre_eval_hook();
-        if (auto cached = cache_->Get(key)) {
-          const double elapsed = ElapsedUs(start);
-          latency_.Record(elapsed);
-          app->latency.Record(elapsed);
-          promise->set_value(RecommendResponse{std::move(cached),
-                                               /*cache_hit=*/true,
-                                               resolved.version});
-          return;
-        }
-        auto result = EvaluateNow(resolved, request, key, *app);
-        const double elapsed = ElapsedUs(start);
-        latency_.Record(elapsed);
-        app->latency.Record(elapsed);
-        promise->set_value(std::move(result));
-      });
-  if (!submitted.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    promise->set_value(submitted);
-  }
-  return future;
+  const double elapsed = ElapsedUs(job.start);
+  latency_.Record(elapsed);
+  job.app->latency.Record(elapsed);
+  job.done(std::move(result));
 }
 
 std::vector<StatusOr<RecommendResponse>> RecommendationService::RecommendBatch(

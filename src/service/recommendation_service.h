@@ -1,6 +1,7 @@
 #ifndef JUGGLER_SERVICE_RECOMMENDATION_SERVICE_H_
 #define JUGGLER_SERVICE_RECOMMENDATION_SERVICE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -124,6 +125,15 @@ class RecommendationService {
   std::future<StatusOr<RecommendResponse>> RecommendAsync(
       RecommendRequest request);
 
+  /// Receives one answer; see RecommendThen().
+  using RecommendCallback = std::function<void(StatusOr<RecommendResponse>)>;
+
+  /// Callback form of Recommend(), for event loops that must not block:
+  /// `done` receives exactly what Recommend() would return, exactly once —
+  /// on the calling thread for a resolve error, a cache hit or a full queue,
+  /// otherwise on the worker that ran the evaluation.
+  void RecommendThen(RecommendRequest request, RecommendCallback done);
+
   /// Answers a batch. Identical questions inside the batch (same app,
   /// parameters, and machine type) are deduplicated: evaluated once, with
   /// the shared answer fanned back out to every duplicate slot. Results are
@@ -152,6 +162,28 @@ class RecommendationService {
   /// The counters node for `app`, created on first use. Only called after a
   /// successful registry resolve, so the map's keys are registry app names.
   AppCounters& CountersFor(const std::string& app) EXCLUDES(apps_mu_);
+
+  /// A cold request waiting for, then running on, a worker.
+  struct Job {
+    ModelRegistry::Resolved resolved;
+    RecommendRequest request;
+    std::string key;
+    RecommendCallback done;
+    AppCounters* app;
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point enqueued;
+    /// Look in the cache again before evaluating (RecommendAsync).
+    bool reprobe;
+  };
+
+  /// The one request path behind Recommend, RecommendAsync and
+  /// RecommendThen: resolve, probe the cache on the calling thread, and on a
+  /// miss queue a Job (a full queue answers ResourceExhausted at once).
+  void Dispatch(RecommendRequest request, bool reprobe,
+                RecommendCallback done);
+
+  /// Worker side of a Job: queue-deadline shed, pre_eval_hook, evaluation.
+  void Evaluate(Job& job);
 
   [[nodiscard]] StatusOr<RecommendResponse> EvaluateNow(
       const ModelRegistry::Resolved& resolved, const RecommendRequest& request,

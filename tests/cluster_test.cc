@@ -3,11 +3,21 @@
 // Router + RouterHttpServer end-to-end path over real loopback RPC —
 // including the reroute-on-shard-kill chaos test (ctest -L chaos).
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,7 +36,9 @@
 #include "net/http.h"
 #include "net/http_recommend_server.h"
 #include "net/json.h"
+#include "rpc/frame.h"
 #include "rpc/rpc_client.h"
+#include "service/prediction_cache.h"
 #include "service/model_registry.h"
 #include "service/recommendation_service.h"
 #include "workloads/workloads.h"
@@ -245,6 +257,61 @@ struct Shard {
   std::unique_ptr<ShardServer> server;
 };
 
+/// Holds model evaluations on one shard until released (installed as every
+/// shard service's pre_eval_hook; shared so late evaluations stay safe).
+class EvalGate {
+ public:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  std::function<void()> HookFor(const std::shared_ptr<EvalGate>& self,
+                                size_t shard) {
+    return [self, shard] { self->Enter(shard); };
+  }
+  void Block(size_t shard) {
+    std::lock_guard<std::mutex> lock(mu_);
+    blocked_ = shard;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      blocked_ = kNone;
+    }
+    cv_.notify_all();
+  }
+  /// Waits up to 10 s until `count` evaluations are held.
+  bool WaitHeld(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return held_ >= count; });
+  }
+
+ private:
+  void Enter(size_t shard) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (blocked_ != shard) return;
+    ++held_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return blocked_ != shard; });
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t blocked_ = kNone;
+  int held_ = 0;
+};
+
+struct FixtureConfig {
+  size_t shard_count = 2;
+  int probe_interval_ms = 50;
+  int rpc_timeout_ms = 5'000;
+  size_t max_clients_per_shard = 8;
+  bool force_poll = false;
+  service::RecommendationService::Options service;
+  /// Installed as each shard service's pre_eval_hook when set.
+  std::shared_ptr<EvalGate> gate;
+  RouterHttpServer::Options http;
+};
+
 struct ClusterFixture {
   fs::path dir;
   std::vector<std::unique_ptr<Shard>> shards;
@@ -252,7 +319,15 @@ struct ClusterFixture {
   std::unique_ptr<RouterHttpServer> http;
 
   explicit ClusterFixture(const std::string& test_name, size_t shard_count = 2,
-                          int probe_interval_ms = 50) {
+                          int probe_interval_ms = 50)
+      : ClusterFixture(test_name, [&] {
+          FixtureConfig config;
+          config.shard_count = shard_count;
+          config.probe_interval_ms = probe_interval_ms;
+          return config;
+        }()) {}
+
+  ClusterFixture(const std::string& test_name, const FixtureConfig& config) {
     dir = fs::path(testing::TempDir()) / ("cluster_" + test_name);
     fs::remove_all(dir);
     fs::create_directories(dir);
@@ -261,7 +336,7 @@ struct ClusterFixture {
     out.close();
 
     std::vector<std::string> addresses;
-    for (size_t i = 0; i < shard_count; ++i) {
+    for (size_t i = 0; i < config.shard_count; ++i) {
       auto shard = std::make_unique<Shard>();
       // Shards run the lazy registry, exactly as --role=shard does: models
       // load on first use, so each shard only pays for what routes to it.
@@ -270,10 +345,13 @@ struct ClusterFixture {
       shard->registry = std::make_shared<service::ModelRegistry>(dir.string(),
                                                                  ropts);
       EXPECT_TRUE(shard->registry->Refresh().ok());
+      service::RecommendationService::Options service = config.service;
+      if (config.gate) service.pre_eval_hook = config.gate->HookFor(config.gate, i);
       shard->service = std::make_shared<service::RecommendationService>(
-          shard->registry, service::RecommendationService::Options{});
+          shard->registry, service);
       ShardServer::Options sopts;
       sopts.rpc.num_handler_threads = 2;
+      sopts.rpc.force_poll = config.force_poll;
       shard->server = std::make_unique<ShardServer>(shard->registry,
                                                     shard->service, sopts);
       EXPECT_TRUE(shard->server->Start().ok());
@@ -284,14 +362,15 @@ struct ClusterFixture {
 
     Router::Options ropts;
     ropts.shards = addresses;
-    ropts.probe_interval_ms = probe_interval_ms;
+    ropts.probe_interval_ms = config.probe_interval_ms;
     ropts.connect_timeout_ms = 500;
+    ropts.rpc_timeout_ms = config.rpc_timeout_ms;
+    ropts.max_clients_per_shard = config.max_clients_per_shard;
     auto created = Router::Create(ropts);
     EXPECT_TRUE(created.ok()) << created.status().ToString();
     router = std::move(created).value();
     EXPECT_TRUE(router->Start().ok());
-    http = std::make_unique<RouterHttpServer>(router.get(),
-                                              RouterHttpServer::Options{});
+    http = std::make_unique<RouterHttpServer>(router.get(), config.http);
   }
 
   ~ClusterFixture() {
@@ -689,6 +768,378 @@ TEST(ShardServerTest, WarmReplyOverTheSocketIsByteIdenticalToHandle) {
   EXPECT_EQ(apps->type, rpc::FrameType::kAppsReply);
   EXPECT_EQ(shard.rpc_stats().fast_path, 3u);
 }
+
+// ---------------------------------------------------------------------------
+// Real sockets on both tiers: the router's HTTP edge and shard channels
+// share the router loop; shards take cold keys straight to their service.
+// ---------------------------------------------------------------------------
+
+/// Blocking loopback socket for one end of a conversation with a server
+/// under test.
+class LoopbackSocket {
+ public:
+  explicit LoopbackSocket(uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~LoopbackSocket() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  void Send(const std::string& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
+      sent += static_cast<size_t>(n);
+    }
+  }
+
+  /// Appends what arrives to `buffer_`; false on EOF or timeout.
+  bool ReadMore() {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buffer_.append(chunk, static_cast<size_t>(n));
+    return true;
+  }
+
+  /// One HTTP response (Content-Length framed); "" on EOF or timeout.
+  std::string ReadHttpResponse() {
+    for (;;) {
+      const size_t header_end = buffer_.find("\r\n\r\n");
+      if (header_end != std::string::npos) {
+        const std::string needle = "Content-Length: ";
+        const size_t pos = buffer_.find(needle);
+        const size_t length =
+            pos == std::string::npos
+                ? 0
+                : static_cast<size_t>(
+                      std::stoul(buffer_.substr(pos + needle.size())));
+        const size_t total = header_end + 4 + length;
+        if (buffer_.size() >= total) {
+          std::string response = buffer_.substr(0, total);
+          buffer_.erase(0, total);
+          return response;
+        }
+      }
+      if (!ReadMore()) return "";
+    }
+  }
+
+  /// One JRPC frame; nullopt on EOF, timeout or framing error.
+  std::optional<rpc::RpcFrame> ReadFrame() {
+    for (;;) {
+      rpc::FrameDecoder decoder;
+      decoder.Append(buffer_.data(), buffer_.size());
+      auto result = decoder.Next();
+      if (result.state == rpc::FrameDecoder::State::kReady) {
+        buffer_.erase(0, buffer_.size() - decoder.buffered_bytes());
+        return result.frame;
+      }
+      if (result.state == rpc::FrameDecoder::State::kError) return std::nullopt;
+      if (!ReadMore()) return std::nullopt;
+    }
+  }
+
+  /// Closes with a reset (SO_LINGER 0): the server sees the peer die at once.
+  void Reset() {
+    linger hard{};
+    hard.l_onoff = 1;
+    hard.l_linger = 0;
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+  std::string buffer_;
+};
+
+std::string RecommendWire(const std::string& body) {
+  return "POST /v1/recommend HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+int StatusOf(const std::string& response) {
+  return response.size() < 12 ? -1 : std::stoi(response.substr(9, 3));
+}
+
+std::string BodyOf(const std::string& response) {
+  const size_t pos = response.find("\r\n\r\n");
+  return pos == std::string::npos ? "" : response.substr(pos + 4);
+}
+
+/// The route key and forwarded payload the HTTP edge derives from `body`.
+std::pair<std::string, std::string> RouteOf(const std::string& body) {
+  auto json = net::Json::Parse(body);
+  EXPECT_TRUE(json.ok());
+  auto parsed = net::ParseRecommendRequest(*json);
+  EXPECT_TRUE(parsed.ok());
+  return {service::PredictionCache::MakeKey(parsed->app, 0, parsed->params,
+                                            parsed->machine_type),
+          json->Dump()};
+}
+
+std::string SvmBodyWithExamples(int examples) {
+  return std::string(R"({"app":"svm","params":{"examples":)") +
+         std::to_string(examples) + R"(,"features":3000,"iterations":5}})";
+}
+
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(RouterLoopTest, KillingAShardWithCallsInFlightReroutesEveryOne) {
+  FixtureConfig config;
+  config.probe_interval_ms = 5'000;  // Only the calls themselves find out.
+  config.gate = std::make_shared<EvalGate>();
+  ClusterFixture f("kill_in_flight", config);
+  ASSERT_TRUE(f.http->Start().ok());
+  const size_t owner = f.router->ring().Owner(RouteOf(kSvmBody).first);
+  config.gate->Block(owner);
+
+  // Six calls for the same cold key, all in flight on the owner at once
+  // (each on its own router connection, held in the owner's service).
+  constexpr int kCalls = 6;
+  std::vector<std::unique_ptr<LoopbackSocket>> clients;
+  for (int i = 0; i < kCalls; ++i) {
+    clients.push_back(std::make_unique<LoopbackSocket>(f.http->port()));
+    clients.back()->Send(RecommendWire(kSvmBody));
+  }
+  ASSERT_TRUE(config.gate->WaitHeld(1));
+  ASSERT_TRUE(WaitUntil([&] {
+    return f.shards[owner]->server->rpc_stats().requests >=
+           static_cast<uint64_t>(kCalls);
+  }));
+
+  f.shards[owner]->server->Stop();
+  for (int i = 0; i < kCalls; ++i) {
+    const std::string response = clients[i]->ReadHttpResponse();
+    EXPECT_EQ(StatusOf(response), 200) << "call " << i << ": " << response;
+    EXPECT_NE(BodyOf(response).find("recommendations"), std::string::npos);
+  }
+  EXPECT_GE(f.router->reroutes(), static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(f.router->GetShardStats()[owner].healthy, false);
+  config.gate->Release();
+}
+
+TEST(RouterLoopTest, PausedShardTimesOutThenReroutes) {
+  FixtureConfig config;
+  config.probe_interval_ms = 5'000;
+  config.rpc_timeout_ms = 300;
+  config.gate = std::make_shared<EvalGate>();
+  ClusterFixture f("paused", config);
+  ASSERT_TRUE(f.http->Start().ok());
+  const size_t owner = f.router->ring().Owner(RouteOf(kSvmBody).first);
+  config.gate->Block(owner);
+
+  LoopbackSocket client(f.http->port());
+  const auto start = std::chrono::steady_clock::now();
+  client.Send(RecommendWire(kSvmBody));
+  const std::string response = client.ReadHttpResponse();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(StatusOf(response), 200) << response;
+  // The loop tick (50 ms) enforces the deadline, then the survivor answers.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(300));
+  EXPECT_LT(elapsed, std::chrono::seconds(3));
+  EXPECT_GE(f.router->reroutes(), 1u);
+  const auto stats = f.router->GetShardStats();
+  EXPECT_EQ(stats[owner].errors, 1u);
+  EXPECT_EQ(stats[1 - owner].requests, 1u);
+  config.gate->Release();
+}
+
+TEST(RouterLoopTest, ClientGoneMidCallDropsTheLateReply) {
+  FixtureConfig config;
+  config.gate = std::make_shared<EvalGate>();
+  ClusterFixture f("client_gone", config);
+  ASSERT_TRUE(f.http->Start().ok());
+  const size_t owner = f.router->ring().Owner(RouteOf(kSvmBody).first);
+  config.gate->Block(owner);
+
+  {
+    LoopbackSocket gone(f.http->port());
+    gone.Send(RecommendWire(kSvmBody));
+    ASSERT_TRUE(config.gate->WaitHeld(1));
+    gone.Reset();
+  }
+  ASSERT_TRUE(WaitUntil([&] { return f.http->http_stats().active == 0; }));
+  config.gate->Release();
+  // The shard answers the router, whose reply finds no connection to go to.
+  ASSERT_TRUE(
+      WaitUntil([&] { return f.router->GetShardStats()[owner].requests == 1; }));
+
+  LoopbackSocket next(f.http->port());
+  next.Send(RecommendWire(kSvmBody));
+  const std::string response = next.ReadHttpResponse();
+  EXPECT_EQ(StatusOf(response), 200) << response;
+  EXPECT_NE(BodyOf(response).find("\"cache_hit\":true"), std::string::npos)
+      << "the abandoned call still warmed the owner";
+  EXPECT_EQ(f.router->reroutes(), 0u);
+}
+
+TEST(RouterLoopTest, WaitingBeyondTheDispatchQueueIs503WithRetryAfter) {
+  FixtureConfig config;
+  config.max_clients_per_shard = 1;
+  config.http.http.dispatch_queue_capacity = 1;
+  config.gate = std::make_shared<EvalGate>();
+  ClusterFixture f("waiting_bound", config);
+  ASSERT_TRUE(f.http->Start().ok());
+  const size_t owner = f.router->ring().Owner(RouteOf(kSvmBody).first);
+  config.gate->Block(owner);
+
+  // The first call holds the owner's one connection...
+  LoopbackSocket first(f.http->port());
+  first.Send(RecommendWire(kSvmBody));
+  ASSERT_TRUE(config.gate->WaitHeld(1));
+  // ...the second waits for it (the one waiting slot)...
+  LoopbackSocket second(f.http->port());
+  second.Send(RecommendWire(kSvmBody));
+  ASSERT_TRUE(WaitUntil([&] { return f.http->http_stats().deferred == 2; }));
+  // ...and the third is turned away at once.
+  LoopbackSocket third(f.http->port());
+  third.Send(RecommendWire(kSvmBody));
+  const std::string rejected = third.ReadHttpResponse();
+  EXPECT_EQ(StatusOf(rejected), 503) << rejected;
+  EXPECT_NE(rejected.find("Retry-After: 1\r\n"), std::string::npos) << rejected;
+  EXPECT_NE(rejected.find("RESOURCE_EXHAUSTED"), std::string::npos);
+
+  config.gate->Release();
+  EXPECT_EQ(StatusOf(first.ReadHttpResponse()), 200);
+  EXPECT_EQ(StatusOf(second.ReadHttpResponse()), 200);
+  EXPECT_EQ(f.router->reroutes(), 0u) << "load is not a transport failure";
+}
+
+TEST(RouterLoopTest, ConcurrentBlockingForwardsMatchTheHttpPath) {
+  ClusterFixture f("blocking_vs_http");
+  ASSERT_TRUE(f.http->Start().ok());
+  constexpr int kKeys = 6;
+  std::vector<std::string> warm_bodies;
+  LoopbackSocket client(f.http->port());
+  for (int k = 0; k < kKeys; ++k) {
+    const std::string body = SvmBodyWithExamples(12000 + 700 * k);
+    client.Send(RecommendWire(body));  // Cold: warms the owner.
+    ASSERT_EQ(StatusOf(client.ReadHttpResponse()), 200);
+    client.Send(RecommendWire(body));
+    const std::string warm = client.ReadHttpResponse();
+    ASSERT_EQ(StatusOf(warm), 200);
+    warm_bodies.push_back(BodyOf(warm));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        const int k = (t + round) % kKeys;
+        const auto [route_key, payload] =
+            RouteOf(SvmBodyWithExamples(12000 + 700 * k));
+        auto reply = f.router->ForwardRecommend(route_key, payload);
+        if (!reply.ok() || *reply != warm_bodies[k]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(f.router->reroutes(), 0u);
+}
+
+class ShardSocketTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ShardSocketTest, ColdRecommendOverTheSocketIsByteIdenticalToHandle) {
+  FixtureConfig config;
+  config.force_poll = GetParam();
+  ClusterFixture f("cold_socket", config);
+  // Two shards over the same registry contents: each answers the same cold
+  // question, one over the socket, one through Handle().
+  ShardServer& over_socket = *f.shards[0]->server;
+  EXPECT_EQ(over_socket.backend(), GetParam() ? "poll" : "epoll");
+  rpc::RpcFrame request;
+  request.type = rpc::FrameType::kRecommend;
+  request.payload = kSvmBody;
+  const rpc::RpcFrame expected = f.shards[1]->server->Handle(request);
+  ASSERT_EQ(expected.type, rpc::FrameType::kRecommendReply);
+
+  rpc::RpcClient::Options copts;
+  copts.port = over_socket.port();
+  rpc::RpcClient client(copts);
+  auto cold = client.Call(rpc::FrameType::kRecommend, kSvmBody);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->type, expected.type);
+  EXPECT_EQ(cold->payload, expected.payload);
+  const auto stats = over_socket.rpc_stats();
+  EXPECT_EQ(stats.fast_path, 0u);
+  EXPECT_EQ(stats.deferred, 1u) << "the cold key went straight to the service";
+}
+
+TEST_P(ShardSocketTest, FullServiceQueueAnswersResourceExhaustedWithId) {
+  FixtureConfig config;
+  config.shard_count = 1;
+  config.force_poll = GetParam();
+  config.service.num_workers = 1;
+  config.service.queue_capacity = 1;
+  config.gate = std::make_shared<EvalGate>();
+  ClusterFixture f("service_queue", config);
+  config.gate->Block(0);
+  const uint16_t port = f.shards[0]->server->port();
+  const auto frame = [](uint64_t id, int examples) {
+    return rpc::EncodeFrame(rpc::RpcFrame{rpc::FrameType::kRecommend, id,
+                                          SvmBodyWithExamples(examples)});
+  };
+
+  // The first cold key holds the one worker, the second the one queue slot,
+  // and the third is shed by the service, answered with its own id.
+  LoopbackSocket busy(port);
+  busy.Send(frame(1, 12000));
+  ASSERT_TRUE(config.gate->WaitHeld(1));
+  LoopbackSocket queued(port);
+  queued.Send(frame(2, 13000));
+  ASSERT_TRUE(WaitUntil(
+      [&] { return f.shards[0]->server->rpc_stats().deferred == 2; }));
+  LoopbackSocket shed(port);
+  shed.Send(frame(42, 14000));
+  const auto rejection = shed.ReadFrame();
+  ASSERT_TRUE(rejection.has_value());
+  EXPECT_EQ(rejection->type, rpc::FrameType::kError);
+  EXPECT_EQ(rejection->request_id, 42u);
+  EXPECT_NE(rejection->payload.find("RESOURCE_EXHAUSTED"), std::string::npos)
+      << rejection->payload;
+  EXPECT_EQ(f.shards[0]->service->GetStats().rejected, 1u);
+
+  config.gate->Release();
+  const auto first = busy.ReadFrame();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->request_id, 1u);
+  EXPECT_EQ(first->type, rpc::FrameType::kRecommendReply);
+  const auto second = queued.ReadFrame();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->request_id, 2u);
+  EXPECT_EQ(second->type, rpc::FrameType::kRecommendReply);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ShardSocketTest, ::testing::Bool(),
+                         [](const auto& param_info) {
+                           return param_info.param ? "poll" : "epoll";
+                         });
 
 }  // namespace
 }  // namespace juggler::cluster

@@ -26,6 +26,7 @@
 #include "net/http_recommend_server.h"
 #include "net/http_server.h"
 #include "net/json.h"
+#include "net/socket_util.h"
 #include "online/observation.h"
 #include "online/online_loop.h"
 #include "service/model_registry.h"
@@ -101,6 +102,17 @@ class TestClient {
       ::close(fd_);
       fd_ = -1;
     }
+  }
+
+  /// Closes with a reset (SO_LINGER 0): the server sees the connection die
+  /// at once, not a half-close it would answer first.
+  void ResetNow() {
+    if (fd_ < 0) return;
+    linger hard{};
+    hard.l_onoff = 1;
+    hard.l_linger = 0;
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    CloseNow();
   }
 
   /// True once the server closes the connection (and no buffered bytes
@@ -415,6 +427,121 @@ TEST_P(HttpServerTest, ClientNotDrainingResponseIsClosed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(server.GetStats().slow_write_closed, 1u);
+  server.Stop();
+}
+
+TEST_P(HttpServerTest, StartFailureClosesEverythingAndCanBeRetried) {
+  // Hold the port the server wants, so its bind fails.
+  auto holder = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+  auto held_port = LocalPort(*holder);
+  ASSERT_TRUE(held_port.ok());
+  HttpServer::Options options = BaseOptions();
+  options.port = *held_port;
+  HttpServer server(options, EchoHandler());
+
+  const Status first = server.Start();
+  EXPECT_EQ(first.code(), StatusCode::kInternal) << first.ToString();
+  // A failed start leaves nothing behind: a retry tries again rather than
+  // reporting "already started".
+  const Status second = server.Start();
+  EXPECT_EQ(second.code(), StatusCode::kInternal) << second.ToString();
+
+  CloseFd(*holder);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.port(), *held_port);
+  TestClient client(server.port());
+  client.Send(SimpleGet("/after-retry"));
+  const std::string response = client.ReadResponse();
+  EXPECT_EQ(StatusOf(response), 200);
+  EXPECT_EQ(BodyOf(response), "GET /after-retry");
+  EXPECT_EQ(server.Start().code(), StatusCode::kFailedPrecondition);
+  server.Stop();
+}
+
+TEST_P(HttpServerTest, PipelinedDeferredAndFastRequestsReplyInOrder) {
+  std::vector<std::thread> completers;  // Touched by the loop thread only.
+  HttpServer server(
+      BaseOptions(), EchoHandler(),
+      [&](const HttpRequest& request,
+          HttpServer::Deferral& deferral) -> std::optional<HttpResponse> {
+        const std::string path = request.Path();
+        if (path.rfind("/fast", 0) == 0) {
+          return HttpResponse::Text(200, "inline " + path);
+        }
+        const HttpServer::Deferred deferred = deferral.Take();
+        if (path.rfind("/now", 0) == 0) {
+          // Completed on the loop thread before the handler returns.
+          deferred.Complete(HttpResponse::Text(200, "now " + path));
+          return std::nullopt;
+        }
+        completers.emplace_back([deferred, path] {
+          // Late enough that a later inline answer would overtake it if
+          // the loop did not hold pipelined requests behind this one.
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          deferred.Complete(HttpResponse::Text(200, "later " + path));
+        });
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  client.Send(SimpleGet("/defer-a") + SimpleGet("/fast-b") +
+              SimpleGet("/defer-c") + SimpleGet("/now-d") +
+              SimpleGet("/fast-e"));
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "later /defer-a");
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "inline /fast-b");
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "later /defer-c");
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "now /now-d");
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "inline /fast-e");
+  server.Stop();  // Joins the loop thread: `completers` is ours again.
+  for (std::thread& t : completers) t.join();
+  const auto stats = server.GetStats();
+  EXPECT_EQ(stats.requests, 5u);
+  EXPECT_EQ(stats.fast_path, 2u);
+  EXPECT_EQ(stats.deferred, 3u);
+}
+
+TEST_P(HttpServerTest, CompletionForAClosedConnectionIsDropped) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<HttpServer::Deferred> parked;
+  HttpServer server(
+      BaseOptions(), EchoHandler(),
+      [&](const HttpRequest& request,
+          HttpServer::Deferral& deferral) -> std::optional<HttpResponse> {
+        if (request.Path() != "/park") return std::nullopt;
+        std::lock_guard<std::mutex> lock(mu);
+        parked.push_back(deferral.Take());
+        cv.notify_all();
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    TestClient gone(server.port());
+    gone.Send(SimpleGet("/park"));
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return !parked.empty(); });
+    lock.unlock();
+    gone.ResetNow();
+  }
+  while (server.GetStats().active != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A new connection may reuse the dead one's fd number; the late reply
+  // must not land on it.
+  TestClient fresh(server.port());
+  fresh.Send(SimpleGet("/warmup"));
+  EXPECT_EQ(BodyOf(fresh.ReadResponse()), "GET /warmup");
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    parked.front().Complete(HttpResponse::Text(200, "late"));
+  }
+  fresh.Send(SimpleGet("/mine"));
+  const std::string response = fresh.ReadResponse();
+  EXPECT_EQ(StatusOf(response), 200);
+  EXPECT_EQ(BodyOf(response), "GET /mine");
   server.Stop();
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -334,6 +335,17 @@ class RawClient {
   }
 
   int fd() const { return fd_; }
+
+  /// Closes with a reset (SO_LINGER 0), so the server sees the connection
+  /// die at once.
+  void Reset() {
+    linger hard{};
+    hard.l_onoff = 1;
+    hard.l_linger = 0;
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    ::close(fd_);
+    fd_ = -1;
+  }
 
   /// Reads until EOF; returns everything the server sent.
   std::string ReadToEof() {
@@ -739,6 +751,93 @@ TEST_P(RpcLoopbackTest, IdleConnectionsAreSweptAndCounted) {
   EXPECT_EQ(idle.ReadToEof(), "") << "sweeper closes the silent connection";
   EXPECT_TRUE(WaitFor([&] { return server.GetStats().active == 0; }));
   EXPECT_EQ(server.GetStats().idle_closed, 1u);
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Deferred replies: a request taken on the loop, answered from elsewhere
+// ---------------------------------------------------------------------------
+
+TEST_P(RpcLoopbackTest, PipelinedDeferredAndFastFramesReplyInOrder) {
+  std::vector<std::thread> completers;  // Touched by the loop thread only.
+  RpcServer server(
+      BaseOptions(), EchoHandler(),
+      [&](const RpcFrame& request,
+          RpcServer::Deferral& deferral) -> std::optional<RpcFrame> {
+        if (request.payload.rfind("fast:", 0) == 0) {
+          return MakeFrame(FrameType::kRecommendReply, 0,
+                           "inline:" + request.payload);
+        }
+        completers.emplace_back([deferred = deferral.Take(),
+                                 payload = request.payload] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          deferred.Complete(
+              MakeFrame(FrameType::kRecommendReply, 0, "later:" + payload));
+        });
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient client(server.port());
+  std::string bytes;
+  AppendFrame(MakeFrame(FrameType::kRecommend, 21, "cold-a"), &bytes);
+  AppendFrame(MakeFrame(FrameType::kRecommend, 22, "fast:b"), &bytes);
+  AppendFrame(MakeFrame(FrameType::kRecommend, 23, "cold-c"), &bytes);
+  client.Send(bytes);
+
+  const std::vector<RpcFrame> replies = ReadFrames(client.fd(), 3);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].request_id, 21u);
+  EXPECT_EQ(replies[0].payload, "later:cold-a");
+  EXPECT_EQ(replies[1].request_id, 22u);
+  EXPECT_EQ(replies[1].payload, "inline:fast:b");
+  EXPECT_EQ(replies[2].request_id, 23u);
+  EXPECT_EQ(replies[2].payload, "later:cold-c");
+  server.Stop();  // Joins the loop thread: `completers` is ours again.
+  for (std::thread& t : completers) t.join();
+  const auto stats = server.GetStats();
+  EXPECT_EQ(stats.fast_path, 1u);
+  EXPECT_EQ(stats.deferred, 2u);
+}
+
+TEST_P(RpcLoopbackTest, CompletionForAClosedConnectionIsDropped) {
+  std::mutex mu;
+  std::vector<RpcServer::Deferred> parked;
+  RpcServer server(
+      BaseOptions(), EchoHandler(),
+      [&](const RpcFrame& request,
+          RpcServer::Deferral& deferral) -> std::optional<RpcFrame> {
+        if (request.payload != "park") return std::nullopt;
+        std::lock_guard<std::mutex> lock(mu);
+        parked.push_back(deferral.Take());
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    RawClient gone(server.port());
+    gone.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 5, "park")));
+    ASSERT_TRUE(WaitFor([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      return !parked.empty();
+    }));
+    gone.Reset();
+  }
+  ASSERT_TRUE(WaitFor([&] { return server.GetStats().active == 0; }));
+
+  // A new connection may reuse the dead one's fd number; the late reply
+  // must not land on it.
+  RpcClient fresh(ClientOptions(server.port()));
+  auto warmup = fresh.Call(FrameType::kRecommend, "warmup");
+  ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    parked.front().Complete(
+        MakeFrame(FrameType::kRecommendReply, 0, "late"));
+  }
+  auto mine = fresh.Call(FrameType::kRecommend, "mine");
+  ASSERT_TRUE(mine.ok()) << mine.status().ToString();
+  EXPECT_EQ(mine->payload, "echo:mine");
   server.Stop();
 }
 
