@@ -9,6 +9,7 @@
 #include "fuzz/harnesses.h"
 #include "net/http.h"
 #include "net/http_recommend_server.h"
+#include "net/json.h"
 #include "online/online_loop.h"
 #include "service/model_registry.h"
 #include "service/recommendation_service.h"
@@ -108,6 +109,14 @@ int RunRecommendServer(const uint8_t* data, size_t size) {
                            : fixture.server->Handle(request);
       JUGGLER_FUZZ_CHECK(response.status >= 200 && response.status <= 599,
                          "route responses use a real HTTP status");
+      if (response.status == 200 && request.Path() == "/v1/recommend") {
+        // Answers are written directly, not dumped from a tree: each must
+        // still be exactly what the tree would print for the same document.
+        auto reparsed = net::Json::Parse(response.body);
+        JUGGLER_FUZZ_CHECK(reparsed.ok(), "recommend answers are valid JSON");
+        JUGGLER_FUZZ_CHECK(reparsed->Dump() == response.body,
+                           "recommend answers re-dump byte for byte");
+      }
       const std::string wire =
           net::SerializeResponse(response, request.KeepAlive());
       JUGGLER_FUZZ_CHECK(wire.rfind("HTTP/1.1 ", 0) == 0,

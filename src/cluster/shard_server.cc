@@ -25,7 +25,7 @@ rpc::RpcFrame RecommendReply(const std::string& app,
                              const StatusOr<service::RecommendResponse>& answer) {
   if (!answer.ok()) return ErrorFrame(answer.status());
   return Reply(rpc::FrameType::kRecommendReply,
-               net::ResponseJson(app, *answer).Dump());
+               net::ResponseBody(app, *answer));
 }
 
 StatusOr<service::RecommendRequest> ParseRecommendPayload(

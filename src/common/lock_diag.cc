@@ -80,13 +80,24 @@ void DefaultReportHandler(const std::string& report) {
 
 std::atomic<ReportHandler> g_handler{&DefaultReportHandler};
 
-/// Per-thread stack of held named locks. Leaked per thread (TLS-rooted, so
-/// reachable) so unlocks running during static destruction stay safe.
-std::vector<const LockClass*>& HeldStack() {
-  // Intentionally leaked; see function comment.
-  thread_local std::vector<const LockClass*>* held =
-      new std::vector<const LockClass*>();  // NOLINT(naked-new)
-  return *held;
+/// Set once this thread's held-lock stack has been destroyed. Trivially
+/// destructible, so it stays readable while the thread's (and, on the main
+/// thread, the program's static) destructors run after the stack is gone.
+thread_local bool t_held_stack_gone = false;
+
+/// Owns one thread's held-lock stack and marks it gone on thread exit, so
+/// the stack is freed with its thread instead of leaked, and later unlocks on
+/// that thread skip tracking instead of touching a destroyed vector.
+struct HeldStackOwner {
+  std::vector<const LockClass*> held;
+  ~HeldStackOwner() { t_held_stack_gone = true; }
+};
+
+/// This thread's stack of held named locks, or nullptr once it is gone.
+std::vector<const LockClass*>* HeldStack() {
+  if (t_held_stack_gone) return nullptr;
+  thread_local HeldStackOwner owner;
+  return &owner.held;
 }
 
 std::string JoinChain(const std::vector<const LockClass*>& held,
@@ -273,18 +284,20 @@ void ResetDeadlockGraphForTesting() {
 
 void OnAcquired(const LockClass* cls) {
   if (!DeadlockDetectorEnabled()) return;
-  std::vector<const LockClass*>& held = HeldStack();
-  if (!held.empty()) CheckOrder(held, cls);
-  held.push_back(cls);
+  std::vector<const LockClass*>* held = HeldStack();
+  if (held == nullptr) return;
+  if (!held->empty()) CheckOrder(*held, cls);
+  held->push_back(cls);
 }
 
 void OnReleased(const LockClass* cls) {
   // Always unwind (even when the detector is off) so a disable between
   // acquire and release cannot leave a stale entry behind.
-  std::vector<const LockClass*>& held = HeldStack();
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
+  std::vector<const LockClass*>* held = HeldStack();
+  if (held == nullptr) return;
+  for (auto it = held->rbegin(); it != held->rend(); ++it) {
     if (*it == cls) {
-      held.erase(std::next(it).base());
+      held->erase(std::next(it).base());
       return;
     }
   }

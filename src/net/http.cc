@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 
 #include "common/parse.h"
@@ -138,26 +139,36 @@ const char* StatusReason(int status) {
   }
 }
 
-std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
-  std::string out;
-  out.reserve(128 + response.body.size());
-  out.append("HTTP/1.1 ");
-  out.append(std::to_string(response.status));
-  out.push_back(' ');
-  out.append(StatusReason(response.status));
-  out.append("\r\n");
-  out.append("Content-Type: ").append(response.content_type).append("\r\n");
-  out.append("Content-Length: ")
-      .append(std::to_string(response.body.size()))
-      .append("\r\n");
-  out.append("Connection: ")
+void AppendSerializedResponse(const HttpResponse& response, bool keep_alive,
+                              std::string* out) {
+  char number[24];
+  out->reserve(out->size() + 128 + response.body.size());
+  out->append("HTTP/1.1 ");
+  out->append(number,
+              std::to_chars(number, number + sizeof(number), response.status)
+                  .ptr);
+  out->push_back(' ');
+  out->append(StatusReason(response.status));
+  out->append("\r\n");
+  out->append("Content-Type: ").append(response.content_type).append("\r\n");
+  out->append("Content-Length: ");
+  out->append(number, std::to_chars(number, number + sizeof(number),
+                                    response.body.size())
+                          .ptr);
+  out->append("\r\n");
+  out->append("Connection: ")
       .append(keep_alive ? "keep-alive" : "close")
       .append("\r\n");
   for (const auto& [name, value] : response.headers) {
-    out.append(name).append(": ").append(value).append("\r\n");
+    out->append(name).append(": ").append(value).append("\r\n");
   }
-  out.append("\r\n");
-  out.append(response.body);
+  out->append("\r\n");
+  out->append(response.body);
+}
+
+std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
+  std::string out;
+  AppendSerializedResponse(response, keep_alive, &out);
   return out;
 }
 

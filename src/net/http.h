@@ -47,8 +47,13 @@ struct HttpResponse {
 /// rest — still a valid response line).
 const char* StatusReason(int status);
 
-/// Serializes `response` as an HTTP/1.1 response with an explicit
-/// Content-Length and a Connection header matching `keep_alive`.
+/// Appends `response` to `out` as an HTTP/1.1 response with an explicit
+/// Content-Length and a Connection header matching `keep_alive`. Writes
+/// straight into `out` (a connection's output buffer), with no temporary.
+void AppendSerializedResponse(const HttpResponse& response, bool keep_alive,
+                              std::string* out);
+
+/// AppendSerializedResponse() into a fresh string.
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 
 /// \brief Incremental HTTP/1.1 request parser for one connection.

@@ -25,7 +25,7 @@ HttpResponse RecommendReply(
     const std::string& app,
     const StatusOr<service::RecommendResponse>& answer) {
   if (!answer.ok()) return ErrorResponse(answer.status());
-  return HttpResponse::JsonBody(200, ResponseJson(app, *answer).Dump());
+  return HttpResponse::JsonBody(200, ResponseBody(app, *answer));
 }
 
 }  // namespace
@@ -166,16 +166,19 @@ HttpResponse HttpRecommendServer::HandleRecommend(const HttpRequest& request) {
     requests.push_back(std::move(parsed).value());
   }
   const auto responses = service_->RecommendBatch(requests);
-  Json results = Json::Arr();
+  // Each slot is written directly (its encoded answer spliced in), the same
+  // way the router splices shard replies.
+  std::string body = "{\"results\":[";
   for (size_t i = 0; i < responses.size(); ++i) {
+    if (i > 0) body.push_back(',');
     if (responses[i].ok()) {
-      results.Append(ResponseJson(requests[i].app, *responses[i]));
+      AppendResponseJson(&body, requests[i].app, *responses[i]);
     } else {
-      results.Append(ErrorJson(responses[i].status()));
+      body.append(ErrorJson(responses[i].status()).Dump());
     }
   }
-  return HttpResponse::JsonBody(
-      200, Json::Obj().Set("results", std::move(results)).Dump());
+  body.append("]}");
+  return HttpResponse::JsonBody(200, std::move(body));
 }
 
 HttpResponse HttpRecommendServer::HandleObserve(const HttpRequest& request) {

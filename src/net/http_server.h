@@ -41,7 +41,7 @@ struct HttpCodec {
 
   static void AppendResponse(const HttpResponse& response, bool keep_alive,
                              std::string* out) {
-    *out += SerializeResponse(response, keep_alive);
+    AppendSerializedResponse(response, keep_alive, out);
   }
   static void AppendOverload(bool keep_alive, std::string* out) {
     HttpResponse response =

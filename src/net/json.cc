@@ -1,11 +1,8 @@
 #include "net/json.h"
 
-#include <cassert>
-#include <charconv>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 
+#include "common/json_text.h"
 #include "common/parse.h"
 
 namespace juggler::net {
@@ -272,51 +269,6 @@ class Parser {
   size_t pos_ = 0;
 };
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    // JSON has no Infinity/NaN; null is the conventional degradation.
-    out->append("null");
-    return;
-  }
-  // Integral values within the double-exact range print without a fraction
-  // ("12000", not "12000.0"); everything else prints in shortest
-  // round-trip form via to_chars.
-  constexpr double kExactIntLimit = 9007199254740992.0;  // 2^53
-  if (v == std::floor(v) && std::fabs(v) < kExactIntLimit) {
-    out->append(std::to_string(static_cast<long long>(v)));
-    return;
-  }
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(result.ec == std::errc());
-  out->append(buf, result.ptr);
-}
-
 }  // namespace
 
 Json Json::Bool(bool value) {
@@ -415,10 +367,10 @@ void Json::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       break;
     case Type::kNumber:
-      AppendNumber(out, number_);
+      AppendJsonNumber(out, number_);
       break;
     case Type::kString:
-      AppendEscaped(out, string_);
+      AppendJsonString(out, string_);
       break;
     case Type::kArray: {
       out->push_back('[');
@@ -437,7 +389,7 @@ void Json::DumpTo(std::string* out) const {
       for (const auto& [key, value] : object_) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(out, key);
+        AppendJsonString(out, key);
         out->push_back(':');
         value.DumpTo(out);
       }

@@ -1,8 +1,10 @@
 #include "net/recommend_codec.h"
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 
+#include "common/json_text.h"
 #include "common/parse.h"
 #include "common/units.h"
 #include "minispark/cluster.h"
@@ -159,28 +161,40 @@ StatusOr<service::RecommendRequest> ParseRecommendRequest(const Json& json) {
   return request;
 }
 
+void AppendResponseJson(std::string* out, const std::string& app,
+                        const service::RecommendResponse& response) {
+  std::string encoded;
+  const std::string* recommendations = response.recommendations_json.get();
+  if (recommendations == nullptr) {
+    encoded = service::EncodeRecommendationsJson(*response.recommendations);
+    recommendations = &encoded;
+  }
+  out->reserve(out->size() + app.size() + recommendations->size() + 96);
+  out->append("{\"app\":");
+  AppendJsonString(out, app);
+  out->append(response.cache_hit ? ",\"cache_hit\":true"
+                                 : ",\"cache_hit\":false");
+  out->append(",\"model_version\":");
+  AppendJsonNumber(out, static_cast<double>(response.model_version));
+  out->append(",\"recommendations\":");
+  out->append(*recommendations);
+  out->push_back('}');
+}
+
+std::string ResponseBody(const std::string& app,
+                         const service::RecommendResponse& response) {
+  std::string out;
+  AppendResponseJson(&out, app, response);
+  return out;
+}
+
 Json ResponseJson(const std::string& app,
                   const service::RecommendResponse& response) {
-  Json recommendations = Json::Arr();
-  for (const core::Recommendation& r : *response.recommendations) {
-    Json item = Json::Obj();
-    item.Set("schedule_id", Json::Number(r.schedule_id))
-        .Set("plan", Json::Str(r.plan.ToString()))
-        .Set("predicted_bytes", Json::Number(r.predicted_bytes))
-        .Set("machines", Json::Number(r.machines))
-        .Set("predicted_time_ms", Json::Number(r.predicted_time_ms))
-        .Set("predicted_cost_machine_min",
-             Json::Number(r.predicted_cost_machine_min))
-        .Set("objective_score", Json::Number(r.objective_score));
-    recommendations.Append(std::move(item));
-  }
-  Json out = Json::Obj();
-  out.Set("app", Json::Str(app))
-      .Set("cache_hit", Json::Bool(response.cache_hit))
-      .Set("model_version",
-           Json::Number(static_cast<double>(response.model_version)))
-      .Set("recommendations", std::move(recommendations));
-  return out;
+  // The writer's output is always one valid document (every string is
+  // escaped, every number finite or null), so the parse cannot fail.
+  auto parsed = Json::Parse(ResponseBody(app, response));
+  assert(parsed.ok());
+  return parsed.ok() ? std::move(parsed).value() : Json();
 }
 
 StatusOr<std::vector<online::Observation>> ParseObservationsJson(

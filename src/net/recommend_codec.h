@@ -43,8 +43,23 @@ Status StatusFromErrorJson(const std::string& payload);
 ///    "machine":{"machine_gb":G}}           // machine optional
 StatusOr<service::RecommendRequest> ParseRecommendRequest(const Json& json);
 
-/// Serializes one recommend response (app echo, cache_hit, model_version,
-/// recommendations array).
+/// Appends one recommend reply to `out`, written directly:
+///   {"app":"svm","cache_hit":B,"model_version":N,"recommendations":[...]}
+/// The recommendations array is spliced from `response.recommendations_json`
+/// when the service encoded it, else encoded on the spot with
+/// service::EncodeRecommendationsJson. Every serving path (HTTP singles and
+/// batches, shard replies) answers through this writer, the one place the
+/// reply's fields are named.
+void AppendResponseJson(std::string* out, const std::string& app,
+                        const service::RecommendResponse& response);
+
+/// AppendResponseJson() into a fresh string: one recommend reply body.
+std::string ResponseBody(const std::string& app,
+                         const service::RecommendResponse& response);
+
+/// The reply as a Json tree, parsed from ResponseBody(), so
+/// `ResponseJson(app, r).Dump() == ResponseBody(app, r)`. For callers that
+/// want to inspect a reply; no serving path builds one.
 Json ResponseJson(const std::string& app,
                   const service::RecommendResponse& response);
 

@@ -48,7 +48,7 @@ PredictionCache::Value PredictionCache::Get(const std::string& key) {
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return {};
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -59,7 +59,7 @@ PredictionCache::Value PredictionCache::Peek(const std::string& key) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) return nullptr;  // Not a counted miss.
+  if (it == shard.index.end()) return {};  // Not a counted miss.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->second;

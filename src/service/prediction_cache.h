@@ -47,13 +47,22 @@ class PredictionCache {
     }
   };
 
-  /// Cached recommendations are shared immutable snapshots: a hit hands the
-  /// caller a reference, never a copy of the vector.
-  using Value = std::shared_ptr<const std::vector<core::Recommendation>>;
+  /// One memoized answer: the recommendations and the same list encoded once
+  /// as the reply's JSON array (see EncodeRecommendationsJson). Both are
+  /// shared immutable snapshots: a hit hands the caller references, never a
+  /// copy of the vector or of the bytes. A default-constructed Value is the
+  /// miss.
+  struct Value {
+    std::shared_ptr<const std::vector<core::Recommendation>> recommendations;
+    std::shared_ptr<const std::string> json;
+
+    explicit operator bool() const { return recommendations != nullptr; }
+  };
 
   explicit PredictionCache(const Options& options);
 
-  /// Returns the cached value and refreshes its recency, or nullptr on miss.
+  /// Returns the cached value and refreshes its recency, or an empty Value on
+  /// a miss.
   Value Get(const std::string& key);
 
   /// Like Get(), but a miss is not counted in Stats. For opportunistic

@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/json_text.h"
+
 namespace juggler::service {
 
 namespace {
@@ -15,6 +17,12 @@ double ElapsedUs(Clock::time_point start) {
       .count();
 }
 
+RecommendResponse Answer(PredictionCache::Value value, bool cache_hit,
+                         uint64_t model_version) {
+  return RecommendResponse{std::move(value.recommendations), cache_hit,
+                           model_version, std::move(value.json)};
+}
+
 Status DeadlineExceeded(double waited_ms, double deadline_ms) {
   return Status::ResourceExhausted(
       "request spent " + std::to_string(waited_ms) +
@@ -23,6 +31,33 @@ Status DeadlineExceeded(double waited_ms, double deadline_ms) {
 }
 
 }  // namespace
+
+std::string EncodeRecommendationsJson(
+    const std::vector<core::Recommendation>& recommendations) {
+  std::string out;
+  out.reserve(2 + 256 * recommendations.size());
+  out.push_back('[');
+  for (const core::Recommendation& r : recommendations) {
+    if (out.size() > 1) out.push_back(',');
+    out.append("{\"schedule_id\":");
+    AppendJsonNumber(&out, r.schedule_id);
+    out.append(",\"plan\":");
+    AppendJsonString(&out, r.plan.ToString());
+    out.append(",\"predicted_bytes\":");
+    AppendJsonNumber(&out, r.predicted_bytes);
+    out.append(",\"machines\":");
+    AppendJsonNumber(&out, r.machines);
+    out.append(",\"predicted_time_ms\":");
+    AppendJsonNumber(&out, r.predicted_time_ms);
+    out.append(",\"predicted_cost_machine_min\":");
+    AppendJsonNumber(&out, r.predicted_cost_machine_min);
+    out.append(",\"objective_score\":");
+    AppendJsonNumber(&out, r.objective_score);
+    out.push_back('}');
+  }
+  out.push_back(']');
+  return out;
+}
 
 RecommendationService::RecommendationService(
     std::shared_ptr<ModelRegistry> registry, const Options& options)
@@ -55,11 +90,17 @@ StatusOr<RecommendResponse> RecommendationService::EvaluateNow(
   auto recs = resolved.model->Recommend(request.params, request.machine_type,
                                         request.objective);
   if (!recs.ok()) return recs.status();
-  auto value = std::make_shared<const std::vector<core::Recommendation>>(
-      std::move(recs).value());
+  // Encoded here, once per answer on the worker, so every later hit splices
+  // these bytes into its reply instead of formatting the doubles again.
+  PredictionCache::Value value;
+  value.recommendations =
+      std::make_shared<const std::vector<core::Recommendation>>(
+          std::move(recs).value());
+  std::string json = EncodeRecommendationsJson(*value.recommendations);
+  json.shrink_to_fit();  // Lives as long as the cache entry.
+  value.json = std::make_shared<const std::string>(std::move(json));
   cache_->Put(key, value);
-  return RecommendResponse{std::move(value), /*cache_hit=*/false,
-                           resolved.version};
+  return Answer(std::move(value), /*cache_hit=*/false, resolved.version);
 }
 
 std::optional<StatusOr<RecommendResponse>>
@@ -78,8 +119,8 @@ RecommendationService::TryRecommendCached(const RecommendRequest& request) {
   const double elapsed = ElapsedUs(start);
   latency_.Record(elapsed);
   app.latency.Record(elapsed);
-  return StatusOr<RecommendResponse>(RecommendResponse{
-      std::move(cached), /*cache_hit=*/true, resolved->version});
+  return StatusOr<RecommendResponse>(
+      Answer(std::move(cached), /*cache_hit=*/true, resolved->version));
 }
 
 StatusOr<RecommendResponse> RecommendationService::Recommend(
@@ -133,8 +174,7 @@ void RecommendationService::Dispatch(RecommendRequest request, bool reprobe,
     const double elapsed = ElapsedUs(start);
     latency_.Record(elapsed);
     app.latency.Record(elapsed);
-    done(RecommendResponse{std::move(cached), /*cache_hit=*/true,
-                           resolved->version});
+    done(Answer(std::move(cached), /*cache_hit=*/true, resolved->version));
     return;
   }
   app.cache_misses.fetch_add(1, std::memory_order_relaxed);
@@ -161,9 +201,10 @@ void RecommendationService::Evaluate(Job& job) {
   }
   if (options_.pre_eval_hook) options_.pre_eval_hook();
   StatusOr<RecommendResponse> result = Status::Internal("not evaluated");
-  if (auto cached = job.reprobe ? cache_->Get(job.key) : nullptr) {
-    result = RecommendResponse{std::move(cached), /*cache_hit=*/true,
-                               job.resolved.version};
+  if (auto cached = job.reprobe ? cache_->Get(job.key)
+                                : PredictionCache::Value{}) {
+    result = Answer(std::move(cached), /*cache_hit=*/true,
+                    job.resolved.version);
   } else {
     result = EvaluateNow(job.resolved, job.request, job.key, *job.app);
   }

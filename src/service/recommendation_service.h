@@ -43,7 +43,20 @@ struct RecommendResponse {
   bool cache_hit = false;
   /// Registry snapshot version of the model that answered.
   uint64_t model_version = 0;
+  /// `recommendations` as the reply's JSON array, encoded once by the worker
+  /// that evaluated the answer and shared with its cache entry, so replying
+  /// to a hit formats nothing. Null when the response was assembled by hand
+  /// (tests, benchmarks); the reply writer then encodes it on the spot.
+  std::shared_ptr<const std::string> recommendations_json;
 };
+
+/// The reply's "recommendations" array, written directly:
+///   [{"schedule_id":N,"plan":"...","predicted_bytes":N,"machines":N,
+///     "predicted_time_ms":N,"predicted_cost_machine_min":N,
+///     "objective_score":N},...]
+/// The one place a recommendation's fields are named on the wire.
+std::string EncodeRecommendationsJson(
+    const std::vector<core::Recommendation>& recommendations);
 
 /// \brief The online serving front end (§5.5 as a service): model registry +
 /// prediction cache + worker pool behind one request interface.

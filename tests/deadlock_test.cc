@@ -187,12 +187,13 @@ TEST_F(DeadlockDetectorTest, RealServingLockTreeIsCycleFree) {
   cache_opts.num_shards = 4;
   service::PredictionCache cache(cache_opts);
 
-  const auto value = std::make_shared<
-      const std::vector<core::Recommendation>>();
+  service::PredictionCache::Value value;
+  value.recommendations =
+      std::make_shared<const std::vector<core::Recommendation>>();
   for (int i = 0; i < 200; ++i) {
     const std::string key = "app-" + std::to_string(i % 23);
     const Status s = pool.Submit([&cache, key, value] {
-      if (cache.Get(key) == nullptr) cache.Put(key, value);
+      if (!cache.Get(key)) cache.Put(key, value);
     });
     (void)s;  // ResourceExhausted under backpressure is fine here.
   }

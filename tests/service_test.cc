@@ -403,8 +403,13 @@ TEST(ModelRegistryTest, LazyReloadPicksUpChangedArtifacts) {
 PredictionCache::Value MakeValue(int schedule_id) {
   std::vector<core::Recommendation> recs(1);
   recs[0].schedule_id = schedule_id;
-  return std::make_shared<const std::vector<core::Recommendation>>(
-      std::move(recs));
+  PredictionCache::Value value;
+  value.recommendations =
+      std::make_shared<const std::vector<core::Recommendation>>(
+          std::move(recs));
+  value.json = std::make_shared<const std::string>(
+      EncodeRecommendationsJson(*value.recommendations));
+  return value;
 }
 
 TEST(PredictionCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
@@ -413,13 +418,13 @@ TEST(PredictionCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   cache.Put("a", MakeValue(1));
   cache.Put("b", MakeValue(2));
   cache.Put("c", MakeValue(3));
-  ASSERT_NE(cache.Get("a"), nullptr);  // Refreshes "a": LRU is now "b".
-  cache.Put("d", MakeValue(4));        // Evicts "b".
+  ASSERT_TRUE(cache.Get("a"));  // Refreshes "a": LRU is now "b".
+  cache.Put("d", MakeValue(4));  // Evicts "b".
 
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  EXPECT_NE(cache.Get("c"), nullptr);
-  EXPECT_NE(cache.Get("d"), nullptr);
+  EXPECT_FALSE(cache.Get("b"));
+  EXPECT_TRUE(cache.Get("a"));
+  EXPECT_TRUE(cache.Get("c"));
+  EXPECT_TRUE(cache.Get("d"));
 
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -434,9 +439,9 @@ TEST(PredictionCacheTest, PutOfExistingKeyRefreshesInsteadOfEvicting) {
   cache.Put("b", MakeValue(2));
   cache.Put("a", MakeValue(3));  // Refresh, not insert: nothing evicted.
   cache.Put("c", MakeValue(4));  // Evicts "b" (LRU), not "a".
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  ASSERT_NE(cache.Get("a"), nullptr);
-  EXPECT_EQ((*cache.Get("a"))[0].schedule_id, 3);
+  EXPECT_FALSE(cache.Get("b"));
+  ASSERT_TRUE(cache.Get("a"));
+  EXPECT_EQ((*cache.Get("a").recommendations)[0].schedule_id, 3);
   EXPECT_EQ(cache.GetStats().evictions, 1u);
 }
 
@@ -502,16 +507,13 @@ TEST(PredictionCacheTest, FlushAppDropsOnlyThatApp) {
   EXPECT_EQ(stats.size, 8u);
   EXPECT_EQ(stats.evictions, 0u);
   const AppParams params{1000.0, 100.0, 1};
-  EXPECT_EQ(cache.Get(PredictionCache::MakeKey("svm", 1, params, machine)),
-            nullptr);
-  EXPECT_NE(cache.Get(PredictionCache::MakeKey("pca", 1, params, machine)),
-            nullptr);
+  EXPECT_FALSE(cache.Get(PredictionCache::MakeKey("svm", 1, params, machine)));
+  EXPECT_TRUE(cache.Get(PredictionCache::MakeKey("pca", 1, params, machine)));
 
   // "svm" must not flush an app whose name merely starts with it.
   cache.Put(PredictionCache::MakeKey("svm2", 1, params, machine), MakeValue(1));
   EXPECT_EQ(cache.FlushApp("svm"), 0u);
-  EXPECT_NE(cache.Get(PredictionCache::MakeKey("svm2", 1, params, machine)),
-            nullptr);
+  EXPECT_TRUE(cache.Get(PredictionCache::MakeKey("svm2", 1, params, machine)));
 }
 
 TEST(PredictionCacheTest, PeekCountsHitsButNeverMisses) {
@@ -519,18 +521,18 @@ TEST(PredictionCacheTest, PeekCountsHitsButNeverMisses) {
                                                  /*num_shards=*/1});
   // An opportunistic probe of a cold key leaves the stats untouched: the
   // authoritative Get() on the fallthrough path counts the one real miss.
-  EXPECT_EQ(cache.Peek("a"), nullptr);
+  EXPECT_FALSE(cache.Peek("a"));
   EXPECT_EQ(cache.GetStats().misses, 0u);
 
   cache.Put("a", MakeValue(1));
   cache.Put("b", MakeValue(2));
-  ASSERT_NE(cache.Peek("a"), nullptr);
+  ASSERT_TRUE(cache.Peek("a"));
   EXPECT_EQ(cache.GetStats().hits, 1u);
 
   // The Peek refreshed "a"'s recency, so "b" is the LRU victim.
   cache.Put("c", MakeValue(3));
-  EXPECT_NE(cache.Peek("a"), nullptr);
-  EXPECT_EQ(cache.Peek("b"), nullptr);
+  EXPECT_TRUE(cache.Peek("a"));
+  EXPECT_FALSE(cache.Peek("b"));
   EXPECT_EQ(cache.GetStats().misses, 0u);
 }
 
@@ -680,6 +682,29 @@ TEST(RecommendationServiceTest, MatchesDirectRecommendBitForBit) {
   EXPECT_EQ(stats.evaluations, 1u);
   EXPECT_EQ(stats.cache.hits, 1u);
   EXPECT_EQ(stats.latency.count, 2u);
+}
+
+TEST(RecommendationServiceTest, HitsSpliceTheBytesTheEvaluationEncoded) {
+  ServiceFixture f("encoded_once");
+  const auto request = SvmRequest();
+  auto cold = f.service->Recommend(request);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_NE(cold->recommendations_json, nullptr);
+  EXPECT_EQ(*cold->recommendations_json,
+            EncodeRecommendationsJson(*cold->recommendations));
+
+  // Two hits on the key, one per hit path: both hand back the very buffer
+  // the evaluation encoded. Only an evaluation encodes, and none ran again.
+  auto hit = f.service->Recommend(request);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->cache_hit);
+  auto fast_hit = f.service->TryRecommendCached(request);
+  ASSERT_TRUE(fast_hit.has_value() && fast_hit->ok());
+  EXPECT_EQ(hit->recommendations_json.get(),
+            cold->recommendations_json.get());
+  EXPECT_EQ((*fast_hit)->recommendations_json.get(),
+            cold->recommendations_json.get());
+  EXPECT_EQ(f.service->GetStats().evaluations, 1u);
 }
 
 TEST(RecommendationServiceTest, ObjectiveWeightingsGetDistinctCacheEntries) {
